@@ -1258,7 +1258,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_limits(p)
     p.add_argument("--batch", action="store_true",
                    help="group seeds of one (design, model, protocol) "
-                        "into batched multi-lane jobs (same table, "
+                        "into batched jobs (same table, "
                         "fewer refinements)")
     p.add_argument("--lanes", type=int, default=8, metavar="N",
                    help="max seeds per batched job (default 8; "
@@ -1368,7 +1368,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-slot span tracing + the /v1/trace endpoint")
     p.add_argument("--batch", action="store_true",
                    help="accept batched simulate-cell jobs (a 'stimuli' "
-                        "list advancing as one multi-lane simulation)")
+                        "list run through one compiled simulator)")
     p.add_argument("--lanes", type=int, default=8, metavar="N",
                    help="max lanes a batched submission may request "
                         "(default 8; with --batch)")

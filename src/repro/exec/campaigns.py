@@ -402,10 +402,10 @@ def simulate_cell(params: Dict[str, object]) -> Dict[str, object]:
     Two forms:
 
     * ``inputs`` (one stimulus) — a single compiled single-lane run;
-    * ``stimuli`` (a list of stimulus dicts) — every vector advances
-      as one lane of a :class:`repro.sim.batch.BatchSimulator`; the
-      payload carries one entry per lane, byte-identical to what the
-      single-stimulus form reports for the same vector.
+    * ``stimuli`` (a list of stimulus dicts) — every vector runs
+      through one :class:`repro.sim.batch.BatchSimulator` (compiled
+      once); the payload carries one entry per lane, byte-identical to
+      what the single-stimulus form reports for the same vector.
     """
     from repro.sim.interpreter import Simulator
 
@@ -415,10 +415,10 @@ def simulate_cell(params: Dict[str, object]) -> Dict[str, object]:
     if stimuli is not None:
         from repro.sim.batch import BatchSimulator
 
-        batch = BatchSimulator(spec).run_batch(
-            [dict(stimulus or {}) for stimulus in stimuli], limits=limits
-        )
-        batch.raise_first_error()
+        batch = BatchSimulator(spec).run_batch(stimuli, limits=limits)
+        for lane in batch:
+            if lane.error is not None:
+                raise lane.error
         return {
             "kernel": "batched",
             "lanes": [
@@ -509,15 +509,15 @@ def sweep_cell(params: Dict[str, object]) -> Dict[str, object]:
 def batch_cell(params: Dict[str, object]) -> Dict[str, object]:
     """Many ``repro sweep`` seeds of one (design, model, protocol)
     cell-family as a single batched job: refine *once*, then verify
-    every seed as one lane of a batched original-vs-refined
-    co-simulation.
+    every seed through one reused original and one reused refined
+    :class:`repro.sim.batch.BatchSimulator`.
 
     The payload's ``cells`` list carries, per seed and in seed order,
     exactly the fields a ``sweep-cell`` job reports for that seed
     (plus ``seed`` and the ``batched`` kernel tag).  A lane that
-    faults carries an ``error`` entry instead — its text replayed
-    through the single-lane kernel, so it reads byte-identically to
-    the serial job's failure.
+    faults carries an ``error`` entry instead — the text of the error
+    ``Simulator.run`` raised, byte-identical to the serial job's
+    failure.
     """
     from repro.models import resolve_model
     from repro.refine.refiner import Refiner

@@ -200,11 +200,11 @@ def run_fuzz(
     skips it).  Same arguments, same report — byte for byte.
 
     ``batch=True`` adds the batch-parity oracle to every generated
-    case (each case's vectors advance as lanes of one batched run and
-    must match their single-lane runs bit for bit); ``lanes`` caps the
-    lanes per batch.  The ``batch_lanes`` parameter is only added to
-    job params when batching is on, so existing cached ``fuzz-case``
-    results keep their keys.
+    case (each case's vectors run through one reused simulator and
+    must match fresh-simulator runs bit for bit); ``lanes`` (>= 1)
+    caps the vectors per reused simulator.  The ``batch_lanes``
+    parameter is only added to job params when batching is on, so
+    existing cached ``fuzz-case`` results keep their keys.
 
     Each corpus entry and each generated case is one job (``fuzz-corpus``
     / ``fuzz-case``) dispatched through ``engine`` (an
@@ -217,6 +217,8 @@ def run_fuzz(
     """
     from repro.exec import ExecutionEngine, Job
 
+    if batch and lanes < 1:
+        raise ReproError(f"--lanes must be >= 1, got {lanes}")
     resolved = _resolve_models(models)
     if engine is None:
         engine = ExecutionEngine(tracer=tracer)

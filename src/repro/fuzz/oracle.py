@@ -16,12 +16,12 @@ Three independent oracles judge every generated case:
    partition and :func:`repro.sim.equivalence.check_equivalence` must
    find the refined design observationally equal to the original on
    every input vector.
-4. **Batch parity** (opt-in, ``repro fuzz --batch``) — advancing all
-   of a case's input vectors as lanes of one
+4. **Simulator-reuse parity** (opt-in, ``repro fuzz --batch``) —
+   running all of a case's input vectors through one reused
    :class:`repro.sim.batch.BatchSimulator` must be indistinguishable,
-   lane for lane, from the same vectors run through independent
-   single-lane compiled simulations — same outputs, traces, globals,
-   completion, or the *same* error text.
+   vector for vector, from a fresh compiled :class:`Simulator` per
+   vector — same outputs, traces, globals, completion, or the *same*
+   error text.  Its oracle name stays ``"batch"``.
 
 Failures carry enough context (oracle name, detail, printed spec,
 inputs, model) to be reported, shrunk, and persisted to the regression
@@ -228,13 +228,14 @@ def check_batch_parity(
     max_steps: int = DEFAULT_MAX_STEPS,
     lanes: int = 8,
 ) -> List[OracleFailure]:
-    """Batched multi-lane execution must be indistinguishable, lane
-    for lane, from independent single-lane compiled runs.
+    """Simulator reuse must be indistinguishable, vector for vector,
+    from a fresh compiled simulator per vector.
 
-    Vectors are grouped ``lanes`` at a time into one
-    :class:`repro.sim.batch.BatchSimulator` batch; every lane's
+    Vectors are grouped ``lanes`` at a time; each group runs through
+    one new :class:`repro.sim.batch.BatchSimulator`, which reuses one
+    compiled :class:`Simulator` across the group.  Every lane's
     outcome (outputs, traces, globals, completion — or error text) is
-    diffed against the single-lane run of the same vector.
+    diffed against a fresh simulator's run of the same vector.
     """
     from repro.sim.batch import BatchSimulator
     from repro.sim.kernel import KernelLimits
@@ -259,7 +260,7 @@ def check_batch_parity(
                 failures.append(
                     OracleFailure(
                         "batch",
-                        f"batched vs single-lane: {delta}",
+                        f"reused vs fresh simulator: {delta}",
                         spec_text=text,
                         inputs=dict(inputs),
                     )

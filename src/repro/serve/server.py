@@ -70,6 +70,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
+from repro.errors import ReproError
 from repro.exec import (
     ExecutionEngine,
     Job,
@@ -167,7 +168,7 @@ class ServeConfig:
     #: per-slot SpanTracers + the /v1/trace endpoint
     trace: bool = False
     #: accept batched ``simulate-cell`` jobs (a ``stimuli`` list of up
-    #: to ``lanes`` vectors advancing as one multi-lane simulation)
+    #: to ``lanes`` vectors run through one compiled simulator)
     batch: bool = False
     #: max lanes a batched ``simulate-cell`` submission may request
     lanes: int = 8
@@ -312,6 +313,8 @@ class ReproServer:
             raise ValueError(
                 f"queue-limit must be >= 0, got {self.config.queue_limit}"
             )
+        if self.config.batch and self.config.lanes < 1:
+            raise ReproError(f"--lanes must be >= 1, got {self.config.lanes}")
         self.cache: Optional[ResultCache] = None
         if not self.config.no_cache:
             self.cache = ResultCache(

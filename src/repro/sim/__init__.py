@@ -1,13 +1,7 @@
-"""Discrete-event simulation: kernel, interpreter, batched multi-lane
-engine, fault injection, metrics/tracing, equivalence checking."""
+"""Discrete-event simulation: kernel, interpreter, many-stimulus batch
+runner, fault injection, metrics/tracing, equivalence checking."""
 
-from repro.sim.batch import (
-    DEFAULT_QUANTUM,
-    BatchMetrics,
-    BatchResult,
-    BatchSimulator,
-    LaneOutcome,
-)
+from repro.sim.batch import BatchSimulator, LaneOutcome
 from repro.sim.eval import Env, ExprCompiler, Frame, evaluate, truthy
 from repro.sim.faults import FaultEvent, FaultInjector, FaultScenario
 from repro.sim.interpreter import Probe, SimulationResult, Simulator, TraceEvent
@@ -29,9 +23,6 @@ from repro.sim.metrics import (
 )
 
 __all__ = [
-    "DEFAULT_QUANTUM",
-    "BatchMetrics",
-    "BatchResult",
     "BatchSimulator",
     "LaneOutcome",
     "Env",

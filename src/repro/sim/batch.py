@@ -1,204 +1,57 @@
-"""Batched multi-lane simulation: many stimulus vectors, one compiled spec.
+"""Many stimulus vectors through one compiled specification.
 
-The exec engine (PR 5) and the serve daemon (PR 6) schedule thousands
-of (design, model, seed) cells, but each cell still pays the full
-per-run cost: refine, compile every statement into closures, then
-advance one stimulus vector at a time.  For a sweep grid the first two
-costs are identical across every seed of a (design, model, protocol)
-family — only the stimulus differs.  This module amortises them:
+The exec engine and the serve daemon schedule thousands of (design,
+model, seed) cells.  Each cell pays for refinement, for compiling every
+statement into closures, and for the run itself.  Across the seeds of
+one (design, model, protocol) family only the stimulus differs, so the
+first two costs can be paid once.
 
-* **shared compilation** — one :class:`repro.sim.interpreter.Simulator`
-  owns the expression/statement closure caches; every lane executes
-  the same compiled closures (compiled once per cell-family, not once
-  per seed);
-* **structure-of-arrays lane state** — each lane is one slot in the
-  batch's lane table: its own :class:`repro.sim.kernel.Kernel` (signal
-  store, event/delta queues, sensitivity index), frames, and output
-  trace, advanced in lockstep quanta by one driver loop;
-* **per-lane early exit** — a lane that goes quiescent, trips a
-  :class:`~repro.sim.kernel.KernelLimits` budget, or crashes retires
-  immediately; the remaining lanes keep the batch busy;
-* **wake probes** — the dominant scheduler cost of the single-lane
-  kernel is re-evaluating wait predicates of wake candidates.  The
-  compiler attaches :attr:`~repro.sim.kernel.WaitCondition.probe`
-  descriptors to conditions whose shape it can prove (``until sig =
-  K``, ``until sig``, edge waits); the batched loop checks those by
-  direct signal-store lookup — no closure call, no ``Env`` walk.
+:class:`BatchSimulator` does exactly that.  It owns one
+:class:`repro.sim.interpreter.Simulator`, whose expression and
+statement closure caches persist across runs, and calls
+:meth:`Simulator.run` once per stimulus.  ``run()`` resets all per-run
+state (kernel, frames, trace), so each stimulus's outputs, output
+trace, step count, simulated time and error text are exactly what a
+fresh :class:`Simulator` reports.  The parity suite
+(``tests/test_sim_batch.py``, ``tests/test_batch_parity.py``) enforces
+this.  :meth:`repro.sim.kernel.Kernel._run_loop` stays the only
+scheduler loop.
 
-Determinism and parity
-----------------------
-
-Lanes never share mutable state: each lane's kernel, frames and trace
-are private, and the shared simulator's per-run attributes are swapped
-to the active lane before it advances (compiled closures resolve
-``self``'s run state at call time, which makes the swap sufficient).
-Consequently every lane's outputs, output trace, VCD change stream,
-metrics counters and error messages are **bit-identical** to a
-single-lane :meth:`Simulator.run` of the same stimulus — regardless of
-lane count, lane order or quantum size.  The parity suite
-(``tests/test_sim_batch.py``, ``tests/test_batch_parity.py``) and the
-benchmark gate (``benchmarks/bench_kernel_batch.py``) enforce this.
-
-The batched fast loop does not maintain the single-lane kernel's
-diagnostic ring buffer (one tuple append per scheduler event).  Error
-parity is preserved by *deterministic replay*: a lane that fails with
-a deterministic error (``SimulationError``, ``max_steps``,
-``max_delta``, deadlock) is re-run once through the single-lane path,
-which reproduces the identical exception — message, structured fields
-and ring trace included.  Only ``wall_clock`` breaches (inherently
-nondeterministic) are reported from the batch loop directly.
-
-When batching is bypassed
--------------------------
-
-Fault injection is per-run machinery and is not supported here — the
-robustness campaign keeps the single-lane path.  Profiling probes
-(:class:`~repro.sim.interpreter.Probe`) disable wake probes (their
-read callbacks must observe every predicate evaluation) but batching
-still works.  ``compile_cache=False`` runs the batch over the
-reference tree walker — slow, but the parity suite uses it to check
-the batched scheduler against the semantic oracle.
+Fault injection, metrics and signal observers are per-run machinery and
+stay on :meth:`Simulator.run`.  ``compile_cache=False`` runs every
+stimulus over the reference tree walker.
 """
 
 from __future__ import annotations
 
-import time as _time
-from collections import deque
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.errors import (
-    DeadlockError,
-    ReproError,
-    SimulationError,
-    SimulationLimitExceeded,
+from repro.errors import ReproError
+from repro.sim.interpreter import (
+    DEFAULT_TIME_UNIT,
+    Probe,
+    SimulationResult,
+    Simulator,
 )
-from repro.obs.trace import NULL_TRACER
-from repro.sim.interpreter import Probe, SimulationResult, Simulator
-from repro.sim.kernel import (
-    Kernel,
-    KernelLimits,
-    WaitCondition,
-    _wait_seq_of,
-)
-from repro.sim.metrics import SimMetrics
+from repro.sim.kernel import KernelLimits
 from repro.spec.specification import Specification
 from repro.spec.stmt import Stmt
 
 __all__ = [
-    "DEFAULT_QUANTUM",
-    "BatchMetrics",
     "LaneOutcome",
-    "BatchResult",
     "BatchSimulator",
 ]
 
-#: Scheduler events one lane may consume before the driver rotates to
-#: the next lane.  Large enough to amortise the context swap, small
-#: enough that a storming lane cannot starve the batch.
-DEFAULT_QUANTUM = 512
-
-#: Effectively-unbounded budget used when only one lane remains live
-#: (rotating a singleton buys nothing).
-_UNBOUNDED = 1 << 62
-
-
-class BatchMetrics:
-    """Lane-aware accounting for one batched run.
-
-    ``totals`` aggregates the per-lane :class:`SimMetrics` (attached
-    only when the caller asked for metrics); the lane counters below
-    are always maintained:
-
-    ================= ==================================================
-    counter            meaning
-    ================= ==================================================
-    lanes              stimulus vectors submitted
-    lanes_completed    lanes that reached quiescence
-    lanes_faulted      lanes retired by an error
-    lanes_replayed     faulted lanes re-run single-lane for error parity
-    lane_switches      driver visits (context swaps onto a lane)
-    ================= ==================================================
-    """
-
-    __slots__ = (
-        "lanes",
-        "lanes_completed",
-        "lanes_faulted",
-        "lanes_replayed",
-        "lane_switches",
-        "totals",
-    )
-
-    FIELDS: Tuple[Tuple[str, str], ...] = (
-        ("lanes", "lanes"),
-        ("lanes_completed", "lanes completed"),
-        ("lanes_faulted", "lanes faulted"),
-        ("lanes_replayed", "lanes replayed"),
-        ("lane_switches", "lane switches"),
-    )
-
-    def __init__(self):
-        self.lanes = 0
-        self.lanes_completed = 0
-        self.lanes_faulted = 0
-        self.lanes_replayed = 0
-        self.lane_switches = 0
-        #: aggregate of every lane's :class:`SimMetrics` (zeroed bag
-        #: when lanes ran without metrics)
-        self.totals = SimMetrics()
-
-    def merge_lane(self, metrics: Optional[SimMetrics]) -> None:
-        """Fold one retired lane's counter bag into ``totals``."""
-        if metrics is None:
-            return
-        totals = self.totals
-        for name, _ in SimMetrics.FIELDS:
-            if name == "max_delta_streak":
-                totals.note_streak(metrics.max_delta_streak)
-            else:
-                setattr(totals, name, getattr(totals, name) + getattr(metrics, name))
-
-    def as_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            name: getattr(self, name) for name, _ in self.FIELDS
-        }
-        out["totals"] = self.totals.as_dict()
-        return out
-
-    def publish(self, registry, **labels) -> None:
-        """Bridge lane counters (``repro_batch_<name>_total``) and the
-        aggregated kernel ``totals`` (via
-        :meth:`repro.sim.metrics.SimMetrics.publish`) into a telemetry
-        registry.  No-op on a disabled registry."""
-        names = tuple(sorted(labels))
-        values = tuple(str(labels[name]) for name in names)
-        for name, label in self.FIELDS:
-            registry.counter(
-                f"repro_batch_{name}_total",
-                f"Batched simulation counter: {label}.",
-                names,
-            ).labels(*values).inc(getattr(self, name))
-        self.totals.publish(registry, **labels)
-
-    def describe(self) -> str:
-        width = max(len(label) for _, label in self.FIELDS)
-        return "\n".join(
-            f"{label:<{width}}  {getattr(self, name)}"
-            for name, label in self.FIELDS
-        )
-
 
 class LaneOutcome:
-    """What one lane produced: a result or a structured error.
+    """What one stimulus produced: a result or a structured error.
 
     Exactly one of ``result`` / ``error`` is set.  ``error_text``
     renders the error the way the fuzz oracles compare error outcomes
-    (``"TypeName: message"``); ``replayed`` records whether the error
-    came from the deterministic single-lane replay (exact parity) or
-    straight from the batch loop (``wall_clock`` only).
+    (``"TypeName: message"``).
     """
 
-    __slots__ = ("lane", "inputs", "result", "error", "replayed", "metrics")
+    __slots__ = ("lane", "inputs", "result", "error")
 
     def __init__(
         self,
@@ -206,15 +59,11 @@ class LaneOutcome:
         inputs: Dict[str, object],
         result: Optional[SimulationResult] = None,
         error: Optional[BaseException] = None,
-        replayed: bool = False,
-        metrics: Optional[SimMetrics] = None,
     ):
         self.lane = lane
         self.inputs = inputs
         self.result = result
         self.error = error
-        self.replayed = replayed
-        self.metrics = metrics
 
     @property
     def ok(self) -> bool:
@@ -231,90 +80,14 @@ class LaneOutcome:
         return f"<LaneOutcome lane={self.lane} {state}>"
 
 
-class BatchResult:
-    """Outcome of one batched run: one :class:`LaneOutcome` per
-    stimulus vector, in submission order, plus the batch's
-    :class:`BatchMetrics`."""
-
-    def __init__(
-        self,
-        spec: Specification,
-        lanes: Tuple[LaneOutcome, ...],
-        metrics: BatchMetrics,
-    ):
-        self.spec = spec
-        self.lanes = lanes
-        self.metrics = metrics
-
-    def __len__(self) -> int:
-        return len(self.lanes)
-
-    def __iter__(self):
-        return iter(self.lanes)
-
-    def __getitem__(self, index: int) -> LaneOutcome:
-        return self.lanes[index]
-
-    def results(self) -> List[Optional[SimulationResult]]:
-        """Per-lane :class:`SimulationResult` (``None`` for faulted
-        lanes), in submission order."""
-        return [lane.result for lane in self.lanes]
-
-    def raise_first_error(self) -> None:
-        """Re-raise the first faulted lane's error, if any."""
-        for lane in self.lanes:
-            if lane.error is not None:
-                raise lane.error
-
-
-class _Lane:
-    """Driver-internal per-lane state (one SoA slot)."""
-
-    __slots__ = (
-        "index",
-        "inputs",
-        "kernel",
-        "root",
-        "frames",
-        "trace",
-        "trace_step",
-        "signal_types",
-        "current_behavior",
-        "status",
-        "error",
-        "replayed",
-        "metrics",
-        "strobes",
-        "wall_started",
-    )
-
-    def __init__(self, index: int, inputs: Dict[str, object], kernel: Kernel):
-        self.index = index
-        self.inputs = inputs
-        self.kernel = kernel
-        self.root = None
-        self.frames: Dict[str, object] = {}
-        self.trace: List = []
-        self.trace_step = 0
-        self.signal_types: Dict[str, object] = {}
-        self.current_behavior = ""
-        self.status = "active"  # active | done | fault
-        self.error: Optional[BaseException] = None
-        self.replayed = False
-        self.metrics: Optional[SimMetrics] = None
-        self.strobes = ()
-        self.wall_started = 0.0
-
-
 class BatchSimulator:
-    """Advances many stimulus vectors of one specification in lockstep.
+    """Runs many stimulus vectors of one specification, compiling once.
 
     Parameters mirror :class:`~repro.sim.interpreter.Simulator` (minus
-    fault injection, which batching does not support): ``cost_fn`` and
-    ``probe`` instrument every lane, ``time_unit`` scales ``wait for``
-    delays, ``compile_cache=False`` selects the reference tree walker
-    for every lane.  One instance may run many batches; compiled
-    closures persist across them (that is the point).
+    fault injection): ``cost_fn`` and ``probe`` instrument every run,
+    ``time_unit`` scales ``wait for`` delays, ``compile_cache=False``
+    selects the reference tree walker.  One instance may run many
+    batches; compiled closures persist across them.
     """
 
     #: kernel-variant tag reported by results produced here
@@ -325,23 +98,17 @@ class BatchSimulator:
         spec: Specification,
         cost_fn: Optional[Callable[[str, Stmt], float]] = None,
         probe: Optional[Probe] = None,
-        time_unit: Optional[float] = None,
+        time_unit: float = DEFAULT_TIME_UNIT,
         compile_cache: bool = True,
     ):
-        kwargs = {} if time_unit is None else {"time_unit": time_unit}
         self._sim = Simulator(
             spec,
             cost_fn=cost_fn,
             probe=probe,
+            time_unit=time_unit,
             compile_cache=compile_cache,
-            **kwargs,
         )
         self.spec = spec
-        #: wake probes require pure predicates; a profiling probe's
-        #: read callbacks must observe every predicate evaluation
-        self._use_probes = probe is None
-
-    # -- public API ---------------------------------------------------------
 
     def run_batch(
         self,
@@ -349,506 +116,29 @@ class BatchSimulator:
         max_steps: Optional[int] = None,
         limits: Optional[KernelLimits] = None,
         require_completion: bool = False,
-        collect_metrics: bool = False,
-        metrics: Optional[BatchMetrics] = None,
-        observers: Optional[Sequence] = None,
-        tracer=NULL_TRACER,
-        quantum: int = DEFAULT_QUANTUM,
-        registry=None,
-    ) -> BatchResult:
-        """Run every stimulus vector to quiescence, sharing compilation.
+    ) -> List[LaneOutcome]:
+        """Run every stimulus vector to quiescence, in order.
 
-        ``stimuli`` is one inputs dict (or ``None``) per lane; lane
-        *i*'s outcome lands at index *i* of the returned
-        :class:`BatchResult`.  ``limits``/``max_steps`` bound each lane
-        individually exactly as in :meth:`Simulator.run`, except
-        ``wall_clock`` which budgets the whole batch.  With
-        ``require_completion=True`` a quiescent lane whose root never
-        finished gets a structured :class:`DeadlockError` (other lanes
-        are unaffected — per-lane early exit).
-
-        ``collect_metrics`` (or passing a :class:`BatchMetrics` as
-        ``metrics``) attaches a private :class:`SimMetrics` to every
-        lane — counter-for-counter identical to a single-lane run —
-        and aggregates them; ``observers`` is an optional per-lane
-        sequence of signal-change observers (e.g.
-        :class:`repro.obs.vcd.VCDWriter`, one per lane); ``tracer``
-        receives one completed span per retired lane plus one for the
-        batch; ``quantum`` is the lockstep rotation budget in scheduler
-        events; ``registry`` (a
-        :class:`repro.obs.metrics.MetricsRegistry`, optional) receives
-        the finished batch's lane and kernel totals via
-        :meth:`BatchMetrics.publish`.
+        ``stimuli`` holds one inputs dict (or ``None``) per lane; lane
+        *i*'s :class:`LaneOutcome` is item *i* of the returned list.
+        ``max_steps``, ``limits`` and ``require_completion`` apply to
+        each run exactly as in :meth:`Simulator.run`; ``wall_clock``
+        therefore budgets each run, not the whole batch.  A run that
+        raises a :class:`ReproError` becomes a faulted lane and the
+        remaining lanes still run.
         """
-        if metrics is None:
-            metrics = BatchMetrics()
-            want_sim_metrics = collect_metrics
-        else:
-            want_sim_metrics = True
-        if limits is None:
-            limits = KernelLimits()
-        if max_steps is not None:
-            limits = KernelLimits(
-                max_steps=max_steps,
-                max_delta=limits.max_delta,
-                wall_clock=limits.wall_clock,
-            )
-        if observers is not None and len(observers) != len(stimuli):
-            raise ValueError(
-                f"observers ({len(observers)}) must match "
-                f"stimuli ({len(stimuli)})"
-            )
-        if quantum < 1:
-            raise ValueError(f"quantum must be >= 1, got {quantum}")
-
-        batch_started = _time.perf_counter()
-        sim = self._sim
-        metrics.lanes += len(stimuli)
-
-        # -- lane setup: one kernel + frames per lane, through the
-        #    exact single-lane setup path (shared compile caches warm
-        #    up as the first lane executes)
-        lanes: List[_Lane] = []
+        outcomes: List[LaneOutcome] = []
         for index, stimulus in enumerate(stimuli):
             inputs = dict(stimulus or {})
-            lane_metrics = SimMetrics() if want_sim_metrics else None
-            observer = observers[index] if observers is not None else None
-            kernel = Kernel(metrics=lane_metrics, observer=observer)
-            lane = _Lane(index, inputs, kernel)
-            lane.metrics = lane_metrics
-            if lane_metrics is not None:
-                lane.wall_started = _time.perf_counter()
             try:
-                lane.root = sim._begin_run(kernel, inputs)
-            except ReproError as exc:
-                # setup errors come from the shared single-lane code
-                # path, so they are exact already — no replay needed
-                lane.status = "fault"
-                lane.error = exc
-                lane.replayed = True
-            else:
-                lane.frames = sim._frames
-                lane.trace = sim._trace
-                lane.trace_step = sim._trace_step
-                lane.signal_types = sim._signal_types
-                lane.current_behavior = sim._current_behavior
-                if lane_metrics is not None:
-                    lane.strobes = {
-                        name
-                        for name in kernel._signals
-                        if lane_metrics.is_bus_strobe(name)
-                    }
-            if lane_metrics is not None:
-                lane_metrics.wall_seconds += (
-                    _time.perf_counter() - lane.wall_started
-                )
-            lanes.append(lane)
-
-        # -- lockstep driver: round-robin over live lanes, one quantum
-        #    per visit; a lone survivor gets an unbounded budget
-        wall_clock = limits.wall_clock
-        wall_started = _time.monotonic() if wall_clock is not None else 0.0
-        active = deque(lane for lane in lanes if lane.status == "active")
-        while active:
-            lane = active.popleft()
-            budget = quantum if active else _UNBOUNDED
-            metrics.lane_switches += 1
-            self._switch_to(lane)
-            if lane.metrics is not None:
-                lane.wall_started = _time.perf_counter()
-            try:
-                still_active = self._advance(
-                    lane, budget, limits, wall_clock, wall_started
+                result = self._sim.run(
+                    inputs=inputs,
+                    max_steps=max_steps,
+                    limits=limits,
+                    require_completion=require_completion,
                 )
             except ReproError as exc:
-                lane.status = "fault"
-                lane.error = exc
+                outcomes.append(LaneOutcome(index, inputs, error=exc))
             else:
-                if still_active:
-                    active.append(lane)
-                else:
-                    lane.status = "done"
-            lane.trace_step = sim._trace_step
-            lane.current_behavior = sim._current_behavior
-            if lane.metrics is not None:
-                lane.metrics.wall_seconds += (
-                    _time.perf_counter() - lane.wall_started
-                )
-            if lane.status != "active":
-                if lane.metrics is not None:
-                    lane.metrics.note_streak(lane.kernel._delta_streak)
-                tracer.record_span(
-                    f"lane{lane.index}",
-                    _time.perf_counter() - batch_started
-                    if lane.metrics is None
-                    else lane.metrics.wall_seconds,
-                    category="batch",
-                    lane=lane.index,
-                    status=lane.status,
-                )
-
-        # -- retirement: build results, detect deadlocks, replay
-        #    deterministic faults for byte-exact error parity
-        outcomes: List[LaneOutcome] = []
-        for lane in lanes:
-            if lane.status == "done":
-                completed = lane.root.finished
-                if require_completion and not completed:
-                    lane.status = "fault"
-                    lane.error = DeadlockError(required=(lane.root.name,))
-                else:
-                    metrics.lanes_completed += 1
-                    metrics.merge_lane(lane.metrics)
-                    outcomes.append(
-                        LaneOutcome(
-                            lane.index,
-                            lane.inputs,
-                            result=SimulationResult(
-                                self.spec,
-                                lane.kernel,
-                                lane.frames,
-                                lane.trace,
-                                completed,
-                            ),
-                            metrics=lane.metrics,
-                        )
-                    )
-                    continue
-            # faulted lane
-            metrics.lanes_faulted += 1
-            error = lane.error
-            deterministic = not (
-                isinstance(error, SimulationLimitExceeded)
-                and error.limit == "wall_clock"
-            )
-            if deterministic and not lane.replayed:
-                replayed = self._replay(lane, limits, require_completion)
-                if replayed is not None:
-                    error = replayed
-                    lane.replayed = True
-                    metrics.lanes_replayed += 1
-            metrics.merge_lane(lane.metrics)
-            outcomes.append(
-                LaneOutcome(
-                    lane.index,
-                    lane.inputs,
-                    error=error,
-                    replayed=lane.replayed,
-                    metrics=lane.metrics,
-                )
-            )
-
-        tracer.record_span(
-            "batch",
-            _time.perf_counter() - batch_started,
-            category="batch",
-            lanes=len(lanes),
-            faulted=metrics.lanes_faulted,
-        )
-        if registry is not None:
-            metrics.publish(registry)
-        return BatchResult(self.spec, tuple(outcomes), metrics)
-
-    # -- context swap -------------------------------------------------------
-
-    def _switch_to(self, lane: _Lane) -> None:
-        """Point the shared simulator's per-run state at ``lane``.
-
-        Compiled closures resolve ``self._kernel`` / ``self._frames``
-        / ``self._trace`` at call time, so swapping these attributes
-        is all the isolation a lane needs.
-        """
-        sim = self._sim
-        sim._kernel = lane.kernel
-        sim._frames = lane.frames
-        sim._trace = lane.trace
-        sim._trace_step = lane.trace_step
-        sim._signal_types = lane.signal_types
-        sim._current_behavior = lane.current_behavior
-
-    # -- error replay -------------------------------------------------------
-
-    def _replay(
-        self,
-        lane: _Lane,
-        limits: KernelLimits,
-        require_completion: bool,
-    ) -> Optional[BaseException]:
-        """Re-run a faulted lane through the single-lane path.
-
-        Lanes are deterministic, so the replay reproduces the same
-        failure with the single-lane kernel's full diagnostics (ring
-        trace, blocked-process report).  ``wall_clock`` is stripped:
-        the replayed error must be the deterministic one, not a timing
-        accident.  Returns the replayed exception, or ``None`` if the
-        replay unexpectedly succeeded (the batch-loop error stands).
-        """
-        replay_limits = KernelLimits(
-            max_steps=limits.max_steps,
-            max_delta=limits.max_delta,
-            wall_clock=None,
-        )
-        try:
-            self._sim.run(
-                inputs=dict(lane.inputs),
-                limits=replay_limits,
-                require_completion=require_completion,
-            )
-        except ReproError as exc:
-            return exc
-        return None
-
-    # -- the batched scheduler loop -----------------------------------------
-
-    def _advance(
-        self,
-        lane: _Lane,
-        budget: int,
-        limits: KernelLimits,
-        wall_clock: Optional[float],
-        wall_started: float,
-    ) -> bool:
-        """Advance one lane by up to ``budget`` scheduler events.
-
-        Mirrors :meth:`Kernel._run_loop` exactly — activation order,
-        level-sensitive suspension, delta-cycle application, candidate
-        wake order, limit checks — minus the diagnostic ring buffer
-        and with probe-accelerated predicate checks.  Returns ``True``
-        while the lane still has work, ``False`` at quiescence.
-        """
-        kernel = lane.kernel
-        max_steps = limits.max_steps
-        max_delta = limits.max_delta
-        metrics = kernel.metrics
-        observer = kernel.observer
-        use_probes = self._use_probes
-        monotonic = _time.monotonic
-        ready = kernel._ready
-        pending = kernel._pending
-        signals = kernel._signals
-        sensitivity = kernel._sensitivity
-        cond_waiters = kernel._cond_waiters
-        suspend = kernel._suspend
-        notify_joiners = kernel._notify_joiners
-        seq = kernel._seq
-        steps = kernel.steps
-        delta_streak = kernel._delta_streak
-        strobes = lane.strobes
-        m_activations = 0
-        m_delta_cycles = 0
-        m_signal_updates = 0
-        m_signal_changes = 0
-        m_wakeups = 0
-        m_bus = 0
-        try:
-            while True:
-                while ready:
-                    if budget <= 0:
-                        return True
-                    budget -= 1
-                    process = ready.pop()
-                    if process.finished:
-                        continue  # killed while queued as ready
-                    steps += 1
-                    if max_steps is not None and steps > max_steps:
-                        raise SimulationLimitExceeded(
-                            f"simulation exceeded max_steps={max_steps} "
-                            f"at t={kernel.now}",
-                            limit="max_steps",
-                        )
-                    if (
-                        wall_clock is not None
-                        and steps % 1024 == 0
-                        and monotonic() - wall_started > wall_clock
-                    ):
-                        raise SimulationLimitExceeded(
-                            f"batch exceeded wall_clock={wall_clock}s "
-                            f"in lane {lane.index} after {steps} steps "
-                            f"at t={kernel.now}",
-                            limit="wall_clock",
-                        )
-                    m_activations += 1
-                    try:
-                        request = process._step()
-                    except StopIteration:
-                        process.finished = True
-                        notify_joiners(process)
-                        continue
-                    except ReproError:
-                        raise
-                    except Exception as exc:  # surface interpreter bugs
-                        process.failed = exc
-                        raise SimulationError(
-                            f"process {process.name!r} failed "
-                            f"at t={kernel.now}: {exc}"
-                        ) from exc
-                    if type(request) is WaitCondition:
-                        # level-sensitive: continue if already true.
-                        # Probe shapes resolve against the signal store
-                        # directly; anything else falls back to the
-                        # predicate closure (identical semantics).
-                        probe = request.probe if use_probes else None
-                        if probe is None:
-                            satisfied = request.predicate()
-                        else:
-                            tag = probe[0]
-                            if tag == "eq":
-                                satisfied = signals[probe[1]] == probe[2]
-                            elif tag == "edge":
-                                # snapshot taken this activation; no
-                                # delta ran since, so nothing changed
-                                satisfied = False
-                            else:  # truthy
-                                value = signals[probe[1]]
-                                satisfied = (
-                                    value != 0
-                                    if type(value) is int
-                                    or type(value) is bool
-                                    else request.predicate()
-                                )
-                        if satisfied:
-                            ready.append(process)
-                            continue
-                        process._waiting_on = request
-                        process._wait_seq = next(seq)
-                        cond_waiters[process] = request
-                        buckets = request._index_sets
-                        if (
-                            buckets is None
-                            or request._index_kernel is not kernel
-                        ):
-                            resolved = []
-                            for name in request.sensitivity:
-                                waiters = sensitivity.get(name)
-                                if waiters is None:
-                                    waiters = sensitivity[name] = set()
-                                resolved.append(waiters)
-                            buckets = request._index_sets = tuple(resolved)
-                            request._index_kernel = kernel
-                        for waiters in buckets:
-                            waiters.add(process)
-                    else:
-                        suspend(process, request)
-
-                if budget <= 0:
-                    return True
-
-                # -- delta cycle: apply pending updates; re-check only
-                # the waiters of signals that changed value, in
-                # suspension order (matches Kernel._run_loop)
-                changed = None
-                candidates = ()
-                if pending:
-                    m_signal_updates += len(pending)
-                    if len(pending) == 1:
-                        name, value = pending.popitem()
-                        if signals[name] != value:
-                            signals[name] = value
-                            changed = (name,)
-                            candidates = sensitivity.get(name, ())
-                    else:
-                        changed_set = set()
-                        for name, value in pending.items():
-                            if signals[name] != value:
-                                signals[name] = value
-                                changed_set.add(name)
-                        pending.clear()
-                        if changed_set:
-                            changed = changed_set
-                            candidate_set = set()
-                            for name in changed_set:
-                                waiters = sensitivity.get(name)
-                                if waiters:
-                                    candidate_set.update(waiters)
-                            candidates = candidate_set
-                if changed is not None:
-                    budget -= 1
-                    if observer is not None:
-                        for name in changed:
-                            observer.on_change(kernel.now, name, signals[name])
-                    if not candidates:
-                        woken = ()
-                    elif len(candidates) == 1:
-                        # ordering is moot for a single waiter
-                        (process,) = candidates
-                        condition = cond_waiters[process]
-                        probe = condition.probe if use_probes else None
-                        if probe is None:
-                            wake = condition.predicate()
-                        else:
-                            tag = probe[0]
-                            if tag == "eq":
-                                wake = signals[probe[1]] == probe[2]
-                            elif tag == "edge":
-                                # a watched signal just changed, so the
-                                # snapshot comparison is true
-                                wake = True
-                            else:  # truthy
-                                value = signals[probe[1]]
-                                wake = (
-                                    value != 0
-                                    if type(value) is int
-                                    or type(value) is bool
-                                    else condition.predicate()
-                                )
-                        woken = (process,) if wake else ()
-                    else:
-                        woken = []
-                        for process in sorted(candidates, key=_wait_seq_of):
-                            condition = cond_waiters[process]
-                            probe = condition.probe if use_probes else None
-                            if probe is None:
-                                wake = condition.predicate()
-                            else:
-                                tag = probe[0]
-                                if tag == "eq":
-                                    wake = signals[probe[1]] == probe[2]
-                                elif tag == "edge":
-                                    wake = True
-                                else:  # truthy
-                                    value = signals[probe[1]]
-                                    wake = (
-                                        value != 0
-                                        if type(value) is int
-                                        or type(value) is bool
-                                        else condition.predicate()
-                                    )
-                            if wake:
-                                woken.append(process)
-                    for process in woken:
-                        condition = cond_waiters.pop(process)
-                        kernel._unindex(process, condition)
-                        process._waiting_on = None
-                        ready.append(process)
-                    if metrics is not None:
-                        m_delta_cycles += 1
-                        m_signal_changes += len(changed)
-                        m_wakeups += len(woken)
-                        for name in changed:
-                            if name in strobes and signals[name]:
-                                m_bus += 1
-                    delta_streak += 1
-                    if max_delta is not None and delta_streak > max_delta:
-                        raise SimulationLimitExceeded(
-                            f"delta-cycle storm: more than "
-                            f"max_delta={max_delta} delta cycles without "
-                            f"time advancing at t={kernel.now}",
-                            limit="max_delta",
-                        )
-                    continue
-                if kernel._advance_time():
-                    if metrics is not None:
-                        metrics.note_streak(delta_streak)
-                    delta_streak = 0
-                    continue
-                return False  # quiescent
-        finally:
-            kernel.steps = steps
-            kernel._delta_streak = delta_streak
-            if metrics is not None:
-                metrics.activations += m_activations
-                metrics.delta_cycles += m_delta_cycles
-                metrics.signal_updates += m_signal_updates
-                metrics.signal_changes += m_signal_changes
-                metrics.wakeups += m_wakeups
-                metrics.bus_transactions += m_bus
+                outcomes.append(LaneOutcome(index, inputs, result=result))
+        return outcomes

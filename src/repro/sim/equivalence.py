@@ -176,35 +176,33 @@ def check_equivalence_batch(
     max_steps: Optional[int] = None,
     limits=None,
     require_completion: bool = False,
-    quantum: Optional[int] = None,
 ) -> List[EquivalenceReport]:
     """Co-simulate many input vectors of one design, batched.
 
     The batched analogue of calling :func:`check_equivalence` once per
-    vector: the original and the refined specification each run as one
-    multi-lane batch (compiled once, every vector a lane), and each
-    lane pair is compared with the identical :func:`compare_runs`
-    logic — reports are byte-for-byte what the serial calls produce.
-    A faulted lane re-raises its (replayed, single-lane-exact) error,
+    vector: the original and the refined specification each run every
+    vector through one reused :class:`repro.sim.batch.BatchSimulator`
+    (compiled once), and each run pair is compared with the identical
+    :func:`compare_runs` logic — reports are byte-for-byte what the
+    serial calls produce.  The first faulted run's error is re-raised,
     matching the serial path's propagation.  Fault injection is not
     supported here; use :func:`check_equivalence`.
     """
-    from repro.sim.batch import DEFAULT_QUANTUM, BatchSimulator
+    from repro.sim.batch import BatchSimulator
 
     vectors = [dict(v or {}) for v in input_vectors]
-    quantum = DEFAULT_QUANTUM if quantum is None else quantum
     original_batch = BatchSimulator(design.original).run_batch(
-        vectors, max_steps=max_steps, limits=limits, quantum=quantum
+        vectors, max_steps=max_steps, limits=limits
     )
     refined_batch = BatchSimulator(design.spec).run_batch(
         vectors,
         max_steps=max_steps,
         limits=limits,
         require_completion=require_completion,
-        quantum=quantum,
     )
-    original_batch.raise_first_error()
-    refined_batch.raise_first_error()
+    for lane in original_batch + refined_batch:
+        if lane.error is not None:
+            raise lane.error
     return [
         compare_runs(
             design,

@@ -69,7 +69,7 @@ from repro.sim.kernel import (
     WaitDelay,
 )
 from repro.spec.behavior import Behavior, CompositeBehavior, LeafBehavior
-from repro.spec.expr import BinOp, Const, Expr, Index, VarRef, free_variables
+from repro.spec.expr import Const, Expr, Index, VarRef, free_variables
 from repro.spec.specification import Specification
 from repro.spec.stmt import (
     Assign,
@@ -298,26 +298,6 @@ class Simulator:
             injector=injector, metrics=metrics, tracer=tracer,
             observer=observer,
         )
-        root = self._begin_run(kernel, inputs)
-        kernel.run(
-            max_steps=max_steps,
-            limits=limits,
-            required=(root,) if require_completion else (),
-        )
-        return SimulationResult(
-            self.spec, kernel, self._frames, self._trace, root.finished
-        )
-
-    def _begin_run(self, kernel: Kernel, inputs: Optional[Dict[str, object]]):
-        """Point the simulator at ``kernel``, set up frames/signals and
-        spawn the root process — everything :meth:`run` does before the
-        kernel loop starts.
-
-        Split out so the batched engine (:mod:`repro.sim.batch`) can
-        prepare many lanes through the exact code path the single-lane
-        API uses, then drive their kernels itself.  Returns the root
-        :class:`Process`.
-        """
         self._kernel = kernel
         self._frames = {}
         self._trace = []
@@ -355,9 +335,17 @@ class Simulator:
         on_read = self._on_env_read if self.probe is not None else None
         on_write = self._on_env_write if self.probe is not None else None
         root_env = Env(kernel, (global_frame,), on_read=on_read, on_write=on_write)
-        return kernel.spawn(
+        root = kernel.spawn(
             self.spec.top.name,
             self._run_behavior(self.spec.top, root_env),
+        )
+        kernel.run(
+            max_steps=max_steps,
+            limits=limits,
+            required=(root,) if require_completion else (),
+        )
+        return SimulationResult(
+            self.spec, kernel, self._frames, self._trace, root.finished
         )
 
     # -- profiling hooks ---------------------------------------------------------
@@ -872,23 +860,6 @@ class Simulator:
             cond_bool = _static_bool(cond)
             names = tuple(free_variables(cond))
             label = f"until {cond}"
-            # wake-probe shape (see WaitCondition.probe): attached per
-            # request only when the probed name is the whole
-            # sensitivity set, i.e. the condition reads exactly one
-            # signal and nothing else the kernel could change
-            probe_shape: Optional[tuple] = None
-            if isinstance(cond, BinOp) and cond.op == "=":
-                if isinstance(cond.left, VarRef) and isinstance(
-                    cond.right, Const
-                ):
-                    probe_shape = ("eq", cond.left.name, cond.right.value)
-                elif isinstance(cond.right, VarRef) and isinstance(
-                    cond.left, Const
-                ):
-                    probe_shape = ("eq", cond.right.name, cond.left.value)
-            elif isinstance(cond, VarRef):
-                probe_shape = ("truthy", cond.name)
-            probe_name = probe_shape[1] if probe_shape is not None else None
             # Which free names are signals depends only on the names
             # bound by each frame in the chain — static per frame
             # *owner* — so the sensitivity set is memoised by the
@@ -918,16 +889,7 @@ class Simulator:
                         predicate = lambda: truthy(  # noqa: E731
                             cond_fn(env)
                         )
-                    probe = (
-                        probe_shape
-                        if probe_name is not None
-                        and len(sensitivity) == 1
-                        and probe_name in sensitivity
-                        else None
-                    )
-                    request = WaitCondition(
-                        predicate, sensitivity, label=label, probe=probe
-                    )
+                    request = WaitCondition(predicate, sensitivity, label=label)
                     env._resolve[wait_key] = request
                 yield request
 
@@ -940,17 +902,12 @@ class Simulator:
         def run_on(behavior: str, env: Env) -> Iterator:
             kernel = self._kernel
             snapshot = [(name, kernel.read_signal(name)) for name in names]
-            # edge waits are satisfied by *any* change of a watched
-            # signal: a waiter only becomes a wake candidate in the
-            # delta cycle that changed one, and at that instant the
-            # snapshot comparison is true by construction
             yield WaitCondition(
                 lambda: any(
                     kernel.read_signal(name) != old for name, old in snapshot
                 ),
                 sensitivity,
                 label=label,
-                probe=("edge",),
             )
 
         return run_on

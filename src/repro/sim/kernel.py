@@ -117,23 +117,12 @@ class WaitCondition:
     on suspension (level-sensitive), so a condition that already holds
     does not deadlock the process.  ``label`` is a human-readable
     rendering of the condition used in deadlock reports.
-
-    ``probe`` is an optional *wake probe*: a tuple describing a
-    condition shape the batched kernel (:mod:`repro.sim.batch`) can
-    check by direct signal-store lookup instead of calling
-    ``predicate`` — ``("eq", name, const)`` for ``until name = const``
-    over a single-signal sensitivity, ``("truthy", name)`` for
-    ``until name``, and ``("edge",)`` for edge waits (``on s1, s2``),
-    which by construction are satisfied by any change of a watched
-    signal.  A probe is only attached when it is provably equivalent
-    to the predicate; the single-lane kernel ignores it.
     """
 
     __slots__ = (
         "predicate",
         "sensitivity",
         "label",
-        "probe",
         "_index_sets",
         "_index_kernel",
     )
@@ -143,15 +132,14 @@ class WaitCondition:
         predicate: Callable[[], bool],
         sensitivity: Iterable[str],
         label: str = "",
-        probe: Optional[tuple] = None,
     ):
         self.predicate = predicate
         self.sensitivity = frozenset(sensitivity)
         self.label = label
-        self.probe = probe
         #: cached sensitivity-index buckets of ``_index_kernel``
         #: (filled on first suspension; buckets are never replaced, so
-        #: they stay valid for that kernel's whole run)
+        #: they stay valid for that kernel's whole run; a condition
+        #: suspended under another kernel re-resolves them)
         self._index_sets: Optional[Tuple[Set["Process"], ...]] = None
         self._index_kernel: Optional["Kernel"] = None
 

@@ -1,7 +1,7 @@
 """The metrics registry and Prometheus exposition: typed instruments,
 label handling, histogram invariants, the render → parse → validate
 round-trip, the disabled (no-op) mode, shared-stats helpers and the
-SimMetrics/BatchMetrics registry bridges."""
+SimMetrics registry bridge."""
 
 import math
 import threading
@@ -275,16 +275,3 @@ def test_sim_metrics_publish():
     (series,) = snapshot["repro_sim_activations_total"]["series"]
     assert series == {"labels": {"run": "original"}, "value": 5.0}
     assert validate_exposition(registry.render()) > 0
-
-
-def test_batch_metrics_publish():
-    from repro.sim.batch import BatchMetrics
-
-    metrics = BatchMetrics()
-    metrics.lanes = 3
-    metrics.totals.activations = 7
-    registry = MetricsRegistry()
-    metrics.publish(registry)
-    snapshot = registry.snapshot()
-    assert snapshot["repro_batch_lanes_total"]["series"][0]["value"] == 3.0
-    assert snapshot["repro_sim_activations_total"]["series"][0]["value"] == 7.0

@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from repro.errors import ReproError
 from repro.exec import ExecutionEngine, Job, SerialExecutor, code_version_salt, register
 from repro.serve import (
     CircuitBreaker,
@@ -199,6 +200,14 @@ class TestTraceEndpoint:
             assert "engine.run" in names or len(trace["traceEvents"]) > 1
         finally:
             server.close()
+
+
+class TestConfigValidation:
+    def test_batch_with_zero_lanes_rejected_at_startup(self):
+        # lanes=0 used to start a daemon that refused every stimuli
+        # submission with "allows at most 0 lanes"
+        with pytest.raises(ReproError, match="--lanes must be >= 1"):
+            ReproServer(ServeConfig(port=0, no_cache=True, batch=True, lanes=0))
 
 
 # -- determinism / byte identity ----------------------------------------------

@@ -1,11 +1,11 @@
-"""Batched multi-lane engine: per-lane parity with the single-lane
-kernel, early exit, error replay, determinism, metrics and wiring.
+"""Many stimuli through one compiled simulator: per-stimulus parity with
+a fresh single-stimulus run, exact error text, determinism and wiring.
 
 The contract under test is absolute: every lane of a
 :class:`repro.sim.batch.BatchSimulator` batch must be bit-identical —
-outputs, traces, step counts, simulated time, completion, metrics
-counters, VCD change streams, and error messages — to a single-lane
-:class:`repro.sim.interpreter.Simulator` run of the same stimulus.
+outputs, traces, step counts, simulated time, completion and error
+messages — to a fresh :class:`repro.sim.interpreter.Simulator` run of
+the same stimulus.
 """
 
 import pytest
@@ -13,8 +13,8 @@ import pytest
 from repro.errors import DeadlockError, SimulationError, SimulationLimitExceeded
 from repro.models.impl_models import ALL_MODELS
 from repro.refine.refiner import Refiner
-from repro.sim import KernelLimits, SimMetrics, Simulator
-from repro.sim.batch import BatchMetrics, BatchSimulator
+from repro.sim import KernelLimits, Simulator
+from repro.sim.batch import BatchSimulator
 from repro.spec.builder import (
     assign,
     conc,
@@ -31,8 +31,7 @@ from repro.spec.variable import Role, signal, variable
 
 
 def _single_runs(design, stimuli, **kwargs):
-    sim = Simulator(design)
-    return [sim.run(inputs=dict(s), **kwargs) for s in stimuli]
+    return [Simulator(design).run(inputs=dict(s), **kwargs) for s in stimuli]
 
 
 def _assert_result_parity(batch, singles):
@@ -51,8 +50,8 @@ def _assert_result_parity(batch, singles):
 
 def _loop_spec():
     """Root loops ``n`` times through a signal wait: runtime, step count
-    and trace length all scale with the ``n`` input, so lanes finish at
-    different times (early exit) and trip limits independently."""
+    and trace length all scale with the ``n`` input, so runs differ in
+    length and trip limits independently."""
     return spec(
         "Loopy",
         leaf(
@@ -78,8 +77,8 @@ def _loop_spec():
 
 def _gate_spec():
     """Completes only when the ``go`` input is 1: the producer writes
-    ``go`` onto a signal the waiter blocks on, so ``go=0`` lanes go
-    quiescent with the root unfinished (a per-lane deadlock under
+    ``go`` onto a signal the waiter blocks on, so ``go=0`` runs go
+    quiescent with the root unfinished (a deadlock under
     ``require_completion``)."""
     return spec(
         "Gated",
@@ -131,7 +130,7 @@ class TestLaneParity:
         ]
         _assert_result_parity(batch, singles)
 
-    def test_determinism_across_quantum_and_order(self):
+    def test_determinism_across_stimulus_order(self):
         design = _loop_spec()
         design.validate()
         stimuli = [{"n": n} for n in (7, 0, 3, 5)]
@@ -147,12 +146,7 @@ class TestLaneParity:
             ]
 
         reference = snapshot(BatchSimulator(design).run_batch(stimuli))
-        for quantum in (1, 3, 64):
-            assert (
-                snapshot(BatchSimulator(design).run_batch(stimuli, quantum=quantum))
-                == reference
-            )
-        # lane order is per-lane state only: permuting stimuli permutes
+        # runs share nothing mutable: permuting stimuli permutes
         # outcomes with them
         rev = BatchSimulator(design).run_batch(list(reversed(stimuli)))
         assert snapshot(rev) == list(reversed(reference))
@@ -164,6 +158,28 @@ class TestLaneParity:
         first = batcher.run_batch([{"n": 3}, {"n": 1}])
         second = batcher.run_batch([{"n": 3}, {"n": 1}])
         _assert_result_parity(second, [lane.result for lane in first])
+
+
+class TestSimulatorReuse:
+    def test_run_b_after_a_matches_fresh_simulator(self):
+        # signals + waits: every suspension goes through the kernel's
+        # sensitivity index, whose buckets each WaitCondition caches for
+        # one kernel (WaitCondition._index_kernel); run B gets a new
+        # kernel and must not see anything run A left behind
+        design = _loop_spec()
+        design.validate()
+        reused = Simulator(design)
+        first = reused.run(inputs={"n": 6})
+        second = reused.run(inputs={"n": 4})
+        fresh = Simulator(design).run(inputs={"n": 4})
+        assert second.kernel is not first.kernel
+        assert second.completed == fresh.completed
+        assert second.steps == fresh.steps
+        assert second.time == fresh.time
+        assert second.output_values() == fresh.output_values()
+        assert [(e.step, e.variable, e.value) for e in second.trace] == [
+            (e.step, e.variable, e.value) for e in fresh.trace
+        ]
 
 
 class TestErrorLanes:
@@ -182,15 +198,11 @@ class TestErrorLanes:
             assert batch[index].result.output_values() == single.output_values()
 
         assert not batch[1].ok
-        assert batch[1].replayed
         with pytest.raises(SimulationLimitExceeded) as excinfo:
             sim.run(inputs=dict(stimuli[1]), limits=limits)
         assert batch[1].error_text == (
             f"{type(excinfo.value).__name__}: {excinfo.value}"
         )
-        assert batch.metrics.lanes_faulted == 1
-        assert batch.metrics.lanes_completed == 2
-        assert batch.metrics.lanes_replayed == 1
 
     def test_deadlocked_lane_matches_single_lane_deadlock(self):
         design = _gate_spec()
@@ -220,79 +232,15 @@ class TestErrorLanes:
             "SimulationError: 'out' is not an input variable"
         )
 
-    def test_raise_first_error(self):
-        design = _loop_spec()
-        design.validate()
-        batch = BatchSimulator(design).run_batch([{"n": 1}, {"bogus": 1}])
-        with pytest.raises(SimulationError):
-            batch.raise_first_error()
+    def test_raise_first_error(self, medical_spec, medical_designs):
+        # check_equivalence_batch re-raises the first faulted run's error
+        from repro.sim.equivalence import check_equivalence_batch
 
-
-class TestMetricsAndObservers:
-    def test_lane_metrics_match_single_lane_counters(self):
-        design = _loop_spec()
-        design.validate()
-        stimuli = [{"n": n} for n in (4, 0, 6)]
-        batch = BatchSimulator(design).run_batch(stimuli, collect_metrics=True)
-        for lane, stimulus in zip(batch, stimuli):
-            single = SimMetrics()
-            Simulator(design).run(inputs=dict(stimulus), metrics=single)
-            for name, _ in SimMetrics.FIELDS:
-                if name == "wall_seconds":
-                    continue  # machine-dependent by definition
-                assert getattr(lane.metrics, name) == getattr(single, name), name
-
-    def test_batch_metrics_totals_aggregate_lanes(self):
-        design = _loop_spec()
-        design.validate()
-        batch = BatchSimulator(design).run_batch(
-            [{"n": 2}, {"n": 5}], collect_metrics=True
-        )
-        metrics = batch.metrics
-        assert isinstance(metrics, BatchMetrics)
-        assert metrics.lanes == 2
-        assert metrics.lanes_completed == 2
-        assert metrics.lane_switches >= 2
-        assert metrics.totals.activations == sum(
-            lane.metrics.activations for lane in batch
-        )
-        assert metrics.totals.max_delta_streak == max(
-            lane.metrics.max_delta_streak for lane in batch
-        )
-        described = metrics.describe()
-        assert "lanes" in described and "lane switches" in described
-        assert metrics.as_dict()["totals"]["activations"] > 0
-
-    def test_vcd_observer_streams_match_single_lane(self):
-        from repro.obs.vcd import VCDWriter
-
-        design = _loop_spec()
-        design.validate()
-        stimuli = [{"n": 3}, {"n": 1}]
-        writers = [VCDWriter(), VCDWriter()]
-        BatchSimulator(design).run_batch(stimuli, observers=writers)
-        for stimulus, writer in zip(stimuli, writers):
-            solo = VCDWriter()
-            Simulator(design).run(inputs=dict(stimulus), observer=solo)
-            assert writer.dump() == solo.dump()
-
-    def test_observer_count_mismatch_rejected(self):
-        design = _loop_spec()
-        design.validate()
-        with pytest.raises(ValueError):
-            BatchSimulator(design).run_batch([{"n": 1}], observers=[])
-
-    def test_tracer_gets_lane_and_batch_spans(self):
-        from repro.obs.trace import SpanTracer
-
-        design = _loop_spec()
-        design.validate()
-        tracer = SpanTracer()
-        BatchSimulator(design).run_batch(
-            [{"n": 1}, {"n": 2}], tracer=tracer
-        )
-        names = [span.name for span in tracer.iter_spans()]
-        assert "lane0" in names and "lane1" in names and "batch" in names
+        design = Refiner(
+            medical_spec, medical_designs["Design1"], ALL_MODELS[0]
+        ).run()
+        with pytest.raises(SimulationError, match="unknown inputs"):
+            check_equivalence_batch(design, [{}, {"bogus": 1}])
 
 
 class TestEquivalenceBatch:

@@ -5,8 +5,8 @@ generated stimuli instead of the single default vector:
 
 * the default design refines to an *equivalent* implementation under
   every one of the four implementation models;
-* the batched multi-lane kernel is indistinguishable, lane for lane,
-  from serial single-lane simulation of the same vectors.
+* one simulator reused across the vectors is indistinguishable,
+  vector for vector, from a fresh simulator per vector.
 
 Refined designs are cached per (workload, model) at module level —
 refinement is deterministic and read-only under co-simulation, so one
@@ -63,8 +63,9 @@ class TestRegistryProperties:
     @settings(max_examples=4, **_COMMON)
     @given(seed=st.integers(0, 2**16))
     def test_batch_kernel_matches_single_lane(self, workload, seed):
-        """One multi-lane batch of generated vectors produces exactly
-        the single-lane outcomes, lane for lane."""
+        """One batch of generated vectors through a reused simulator
+        produces exactly the fresh-simulator outcomes, vector by
+        vector."""
         vectors = workload.input_vectors(seed, count=4)
         failures = check_batch_parity(_spec(workload), vectors)
         assert failures == [], "\n".join(f.detail for f in failures)
