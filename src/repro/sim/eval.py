@@ -26,7 +26,8 @@ one-bit vectors).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+import operator
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Kernel
@@ -34,7 +35,14 @@ from repro.spec.expr import BinOp, Const, Expr, Index, UnaryOp, VarRef
 from repro.spec.types import DataType
 from repro.spec.variable import Variable
 
-__all__ = ["Frame", "Env", "ExprCompiler", "evaluate", "truthy"]
+__all__ = [
+    "Frame",
+    "Env",
+    "ExprCompiler",
+    "SignalExprCompiler",
+    "evaluate",
+    "truthy",
+]
 
 
 class Frame:
@@ -132,6 +140,7 @@ class Env:
         current = frame.read(name)
         if not isinstance(current, tuple):
             raise SimulationError(f"runtime: {name!r} is not an array")
+        _require_index(index)
         if not 0 <= index < len(current):
             raise SimulationError(
                 f"runtime: index {index} out of range for {name!r} "
@@ -253,6 +262,11 @@ def _require_number(value, expr: Expr) -> None:
         )
 
 
+def _require_index(index) -> None:
+    if not isinstance(index, int) or isinstance(index, bool):
+        raise SimulationError(f"runtime: array index {index!r} is not an integer")
+
+
 def _is_number(value) -> bool:
     """Compile-time mirror of :func:`_require_number`'s acceptance."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -272,6 +286,31 @@ def _static_bool(expr: Expr) -> bool:
 #: kernel signal store (None)" in Env._resolve
 _UNRESOLVED = object()
 
+
+def _binding(env: Env, name: str) -> Frame:
+    """The frame an assignment to ``name`` writes (memoised like the
+    compiled reads); a name bound to no frame cannot be assigned."""
+    frame = env._resolve.get(name, _UNRESOLVED)
+    if frame is _UNRESOLVED:
+        for frame in env.frames:
+            if name in frame.slots:
+                env._resolve[name] = frame
+                return frame
+        frame = None
+    if frame is None:
+        raise SimulationError(f"runtime: cannot assign unbound name {name!r}")
+    return frame
+
+
+#: the comparison and arithmetic operators of compiled binary nodes
+_COMPARE = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+_COMBINE = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
 #: A compiled expression: call with an :class:`Env`, get the value.
 CompiledExpr = Callable[[Env], object]
 
@@ -286,14 +325,20 @@ class ExprCompiler:
     :func:`evaluate`'s semantics and error messages exactly — the
     equivalence suite runs both strategies and compares.
 
+    ``pure_signals`` names the signals no frame of the program can
+    bind (no variable, parameter, local or loop variable anywhere shares
+    the name): such a name resolves to the kernel's signal store in
+    every scope, so its references compile to a direct store read.
+
     One compiler instance is intended to live as long as the simulator
     that owns it; do not share a compiler across threads.
     """
 
-    __slots__ = ("_cache",)
+    __slots__ = ("_cache", "_pure_signals")
 
-    def __init__(self):
+    def __init__(self, pure_signals: Iterable[str] = ()):
         self._cache: Dict[int, Tuple[Expr, CompiledExpr]] = {}
+        self._pure_signals = frozenset(pure_signals)
 
     def compile(self, expr: Expr) -> CompiledExpr:
         """The compiled form of ``expr`` (cached by node identity)."""
@@ -335,14 +380,15 @@ class ExprCompiler:
 
         return fail
 
-    @staticmethod
-    def _build_varref(expr: VarRef) -> CompiledExpr:
+    def _build_varref(self, expr: VarRef) -> CompiledExpr:
+        name = expr.name
+        if name in self._pure_signals:
+            return lambda env: env.kernel._signals[name]
         # Inlines Env.read's frame walk (hottest closure by call
         # count) and memoises the binding frame in the env's own
         # ``_resolve`` map (``None`` = the kernel signal store), so
         # the steady state is two dict probes and the cache dies with
         # the env — no retention of dead call frames.
-        name = expr.name
         message = f"runtime: name {name!r} is not bound"
 
         def read_var(env):
@@ -367,6 +413,49 @@ class ExprCompiler:
             raise SimulationError(message)
 
         return read_var
+
+    def compile_store(
+        self, target: Expr
+    ) -> Optional[Callable[[Env, object], None]]:
+        """``store(env, value)`` assigning ``value`` to ``target`` — a
+        variable or an element of an array variable — with the
+        semantics and messages of :meth:`Env.write` and
+        :meth:`Env.write_array_element`; ``None`` when ``target`` is not
+        assignable.  The binding frame is memoised in the env's
+        ``_resolve`` map, shared with the compiled reads."""
+        if isinstance(target, VarRef):
+            name = target.name
+
+            def store(env, value):
+                slot = _binding(env, name).slots[name]
+                slot[1] = slot[0].coerce(value) if slot[0] is not None else value
+                if env.on_write is not None:
+                    env.on_write(name)
+
+            return store
+        if not (isinstance(target, Index) and isinstance(target.base, VarRef)):
+            return None
+        name = target.base.name
+        index_fn = self.compile(target.index_expr)
+
+        def store_element(env, value):
+            index = index_fn(env)
+            slot = _binding(env, name).slots[name]
+            current = slot[1]
+            if not isinstance(current, tuple):
+                raise SimulationError(f"runtime: {name!r} is not an array")
+            _require_index(index)
+            if not 0 <= index < len(current):
+                raise SimulationError(
+                    f"runtime: index {index} out of range for {name!r} "
+                    f"(length {len(current)})"
+                )
+            updated = current[:index] + (value,) + current[index + 1 :]
+            slot[1] = slot[0].coerce(updated) if slot[0] is not None else updated
+            if env.on_write is not None:
+                env.on_write(name)
+
+        return store_element
 
     def _build_index(self, expr: Index) -> CompiledExpr:
         base_fn = self.compile(expr.base)
@@ -452,12 +541,7 @@ class ExprCompiler:
                 return lambda env: left_fn(env) != rconst
             return lambda env: left_fn(env) != right_fn(env)
         if op in ("<", "<=", ">", ">="):
-            compare = {
-                "<": lambda a, b: a < b,
-                "<=": lambda a, b: a <= b,
-                ">": lambda a, b: a > b,
-                ">=": lambda a, b: a >= b,
-            }[op]
+            compare = _COMPARE[op]
             if isinstance(expr.right, Const) and _is_number(
                 expr.right.value
             ):
@@ -465,7 +549,8 @@ class ExprCompiler:
 
                 def comparison_const(env):
                     left = left_fn(env)
-                    _require_number(left, expr)
+                    if type(left) is not int:  # only then can it fail
+                        _require_number(left, expr)
                     return compare(left, rconst)
 
                 return comparison_const
@@ -479,11 +564,7 @@ class ExprCompiler:
 
             return comparison
         if op in ("+", "-", "*"):
-            combine = {
-                "+": lambda a, b: a + b,
-                "-": lambda a, b: a - b,
-                "*": lambda a, b: a * b,
-            }[op]
+            combine = _COMBINE[op]
             if isinstance(expr.right, Const) and _is_number(
                 expr.right.value
             ):
@@ -491,7 +572,8 @@ class ExprCompiler:
 
                 def arithmetic_const(env):
                     left = left_fn(env)
-                    _require_number(left, expr)
+                    if type(left) is not int:  # only then can it fail
+                        _require_number(left, expr)
                     return combine(left, rconst)
 
                 return arithmetic_const
@@ -530,3 +612,79 @@ class ExprCompiler:
 
             return modulo
         return self._raiser(f"runtime: unknown binary operator {op!r}")
+
+
+class SignalExprCompiler(ExprCompiler):
+    """Compiles expressions whose free names are all pure signals.
+
+    The closures take the kernel's signal dict itself instead of an
+    :class:`Env` — the form of a wait predicate shared by every scope
+    and every run of one simulator.  Chains of ``or``/``and`` over
+    structurally boolean operands flatten into one loop, and
+    ``signal = constant`` terms into one dict probe each, so the
+    arbiter's many-way request test costs one call.
+    """
+
+    __slots__ = ()
+
+    def _build_varref(self, expr: VarRef) -> CompiledExpr:
+        name = expr.name
+        return lambda signals: signals[name]
+
+    def _build_binop(self, expr: BinOp) -> CompiledExpr:
+        op = expr.op
+        if op in ("=", "/=") and _signal_equals_const(expr):
+            name, value = expr.left.name, expr.right.value
+            if op == "=":
+                return lambda signals: signals[name] == value
+            return lambda signals: signals[name] != value
+        if op not in ("and", "or"):
+            return super()._build_binop(expr)
+        terms = _flatten(expr, op)
+        if len(terms) < 3 or not all(_static_bool(term) for term in terms):
+            return super()._build_binop(expr)
+        # every term is a Python bool, so ``or`` is "the first true
+        # term" and ``and`` "no false term" — evaluated left to right
+        # with the same short circuit as the nested closures
+        stop = op == "or"
+        if all(_signal_equals_const(term) for term in terms):
+            # a term stops the chain when ``signal == value`` comes out
+            # as ``stopping``: true for an ``or`` of ``=``, false for an
+            # ``and`` of ``=``, and the reverse for ``/=``
+            tests = tuple(
+                (term.left.name, term.right.value, (term.op == "=") is stop)
+                for term in terms
+            )
+
+            def chain_equals(signals):
+                for name, value, stopping in tests:
+                    if (signals[name] == value) is stopping:
+                        return stop
+                return not stop
+
+            return chain_equals
+        fns = tuple(self.compile(term) for term in terms)
+
+        def chain(signals):
+            for fn in fns:
+                if fn(signals) is stop:
+                    return stop
+            return not stop
+
+        return chain
+
+
+def _signal_equals_const(expr: Expr) -> bool:
+    return (
+        isinstance(expr, BinOp)
+        and expr.op in ("=", "/=")
+        and isinstance(expr.left, VarRef)
+        and isinstance(expr.right, Const)
+    )
+
+
+def _flatten(expr: Expr, op: str) -> List[Expr]:
+    """The operands of a left-to-right chain of ``op``."""
+    if isinstance(expr, BinOp) and expr.op == op:
+        return _flatten(expr.left, op) + _flatten(expr.right, op)
+    return [expr]

@@ -36,11 +36,31 @@ The interpreter has two paths over the same IR:
   closure, cached by node identity for the life of the simulator.
   Statement subtrees that cannot suspend (no ``wait``, no subprogram
   call) and carry no instrumentation collapse into plain function
-  calls — no generator frame per statement; wait conditions get their
-  sensitivity sets and labels precomputed at compile time.
+  calls — no generator frame per statement.
 * the **reference tree walker** (``compile_cache=False``): the
   historical re-dispatching interpreter, kept as the semantic oracle —
-  the equivalence suite runs both paths and compares traces.
+  the equivalence suite runs both paths and compares traces.  It
+  resolves every name on every access and is unchanged by the
+  compile-time resolution below.
+
+What the compiled path resolves at compile time, once per simulator:
+
+* **pure signals** — names declared only as signals and shared by no
+  variable, parameter, subprogram local or loop variable anywhere in
+  the spec; they resolve to the kernel's signal store in every scope,
+  so reads of them are direct store reads;
+* **static waits** — a ``wait until`` over pure signals only is one
+  :class:`WaitCondition` per statement (fixed sensitivity, predicate
+  over the current run's signal store), and ``wait for N`` one
+  :class:`WaitDelay`; bodies yield these requests inline;
+* **signal dtypes**, and the coerced value of a constant signal
+  assignment (a constant that does not fit raises when the statement
+  executes, as on the walker).
+
+What stays per env: a ``wait until`` naming a shadowed name (its
+sensitivity depends on the scope), ``wait on`` snapshots, and the
+binding frame of each variable (memoised per :class:`Env`, shared by
+reads, writes and subprogram copy-out).
 
 When a ``cost_fn`` or ``probe`` is attached, compiled statements are
 wrapped so every execution still charges time and fires the probe; the
@@ -49,13 +69,15 @@ closure cache then saves dispatch, not instrumentation.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, TypeMismatchError
 from repro.sim.eval import (
     Env,
     ExprCompiler,
     Frame,
+    SignalExprCompiler,
     _static_bool,
     evaluate,
     truthy,
@@ -84,7 +106,9 @@ from repro.spec.stmt import (
     While,
 )
 from repro.spec.subprogram import Direction
+from repro.spec.types import BitVectorType, DataType, IntType
 from repro.spec.variable import Role, StorageClass
+from repro.spec.visitor import walk_statements
 
 __all__ = [
     "DEFAULT_TIME_UNIT",
@@ -98,6 +122,9 @@ __all__ = [
 #: scenarios expressed in protocol ticks must be multiplied by
 #: (:meth:`repro.sim.faults.FaultScenario.scaled`).
 DEFAULT_TIME_UNIT = 1e-9
+
+#: Kinds of compiled statement (see the compiled fast path below).
+_PLAIN, _GEN, _REQUEST = range(3)
 
 
 class Probe:
@@ -209,6 +236,42 @@ class SimulationResult:
         return [p.name for p in self.kernel.blocked_processes() if not p.finished]
 
 
+class _RunState:
+    """What each :meth:`Simulator.run` rebuilds, as the compiled
+    closures see it.
+
+    Closures bind this object instead of the simulator, so a simulator
+    is not part of a reference cycle through its own closure cache, and
+    :meth:`Simulator.run` clears the run's references when the run ends.
+    """
+
+    __slots__ = (
+        "kernel",
+        "signals",
+        "global_frame",
+        "trace",
+        "trace_step",
+        "behavior",
+    )
+
+    def __init__(self):
+        self.clear()
+        self.trace: List[TraceEvent] = []
+        self.trace_step = 0
+        self.behavior = ""
+
+    def clear(self) -> None:
+        self.kernel: Optional[Kernel] = None
+        #: the kernel's signal store (static wait predicates read it)
+        self.signals: Optional[Dict[str, object]] = None
+        self.global_frame: Optional[Frame] = None
+
+    def observe_write(self, name: str, env: Env) -> None:
+        """Record a write of output ``name`` in the run's trace."""
+        self.trace_step += 1
+        self.trace.append(TraceEvent(self.trace_step, name, env.peek(name)))
+
+
 class Simulator:
     """Executes a specification.
 
@@ -246,21 +309,30 @@ class Simulator:
         self.compile_cache = compile_cache
         self._kernel: Optional[Kernel] = None
         self._frames: Dict[str, Frame] = {}
-        self._trace: List[TraceEvent] = []
+        self._state = _RunState()
         self._output_names = {v.name for v in spec.outputs()}
-        self._signal_types: Dict[str, object] = {}
-        self._trace_step = 0
+        #: signal name -> dtype, for every global and behavior signal
+        self._signal_types: Dict[str, object] = {
+            decl.name: decl.dtype
+            for _, decl in spec.all_declared_variables()
+            if decl.kind is StorageClass.SIGNAL
+        }
+        #: signals that resolve to the kernel's store in every scope
+        self._pure_signals = _pure_signal_names(spec)
         self._current_behavior = ""
         #: True when every statement must charge time / fire the probe
         self._instrumented = cost_fn is not None or probe is not None
         #: expression compiler (shared by both instrumentation modes)
-        self._expr = ExprCompiler()
-        #: id(stmt) -> (stmt, plain, fn) — compiled statement closures
-        self._stmt_cache: Dict[int, Tuple[Stmt, bool, Callable]] = {}
-        #: id(body) -> (body, plain, fn) — compiled statement sequences
-        self._body_cache: Dict[int, Tuple[tuple, bool, Callable]] = {}
-        #: callee names currently being compiled (recursion guard)
-        self._compiling_calls: set = set()
+        self._expr = ExprCompiler(self._pure_signals)
+        #: compiler of static wait predicates (over the signal store)
+        self._signal_expr = SignalExprCompiler()
+        #: id(stmt) -> (stmt, kind, fn) — compiled statements
+        self._stmt_cache: Dict[int, Tuple[Stmt, int, object]] = {}
+        #: id(body) -> (body, kind, fn) — compiled statement sequences
+        self._body_cache: Dict[int, Tuple[tuple, int, object]] = {}
+        #: callee name -> [(kind, fn)] of its compiled body; empty while
+        #: the body is being compiled (a recursive call)
+        self._callee_bodies: Dict[str, list] = {}
 
     # -- public API -----------------------------------------------------------
 
@@ -300,18 +372,13 @@ class Simulator:
         )
         self._kernel = kernel
         self._frames = {}
-        self._trace = []
-        self._trace_step = 0
-        self._signal_types = {}
         self._current_behavior = ""
-
         global_frame = Frame("")
         self._frames[""] = global_frame
         inputs = dict(inputs or {})
         for decl in self.spec.variables:
             if decl.kind is StorageClass.SIGNAL:
                 kernel.register_signal(decl.name, decl.initial_value)
-                self._signal_types[decl.name] = decl.dtype
             else:
                 global_frame.declare(decl)
                 if decl.name in inputs:
@@ -330,25 +397,57 @@ class Simulator:
             for decl in behavior.decls:
                 if decl.kind is StorageClass.SIGNAL:
                     kernel.register_signal(decl.name, decl.initial_value)
-                    self._signal_types[decl.name] = decl.dtype
 
-        on_read = self._on_env_read if self.probe is not None else None
-        on_write = self._on_env_write if self.probe is not None else None
+        state = self._state
+        state.kernel = kernel
+        state.signals = kernel._signals
+        state.global_frame = global_frame
+        state.trace = []
+        state.trace_step = 0
+        state.behavior = ""
+        on_read, on_write = self._probe_hooks()
         root_env = Env(kernel, (global_frame,), on_read=on_read, on_write=on_write)
         root = kernel.spawn(
             self.spec.top.name,
             self._run_behavior(self.spec.top, root_env),
         )
-        kernel.run(
-            max_steps=max_steps,
-            limits=limits,
-            required=(root,) if require_completion else (),
-        )
+        try:
+            kernel.run(
+                max_steps=max_steps,
+                limits=limits,
+                required=(root,) if require_completion else (),
+            )
+        finally:
+            # Nothing resumes a process after the run: close the
+            # generators still suspended (daemon servers, deadlocked
+            # processes) so their frames — envs, this simulator — are
+            # released now, and drop the run from the simulator, so
+            # that a finished simulator and its kernel are freed by
+            # reference counting rather than the cyclic collector.
+            # blocked()/blocked_report() read only Process fields.
+            for process in kernel._processes:
+                process.generator.close()
+            self._kernel = None
+            state.clear()
         return SimulationResult(
-            self.spec, kernel, self._frames, self._trace, root.finished
+            self.spec, kernel, self._frames, state.trace, root.finished
         )
 
     # -- profiling hooks ---------------------------------------------------------
+
+    def _probe_hooks(self) -> Tuple[Optional[Callable], Optional[Callable]]:
+        """The env read/write hooks: none without a probe; the compiled
+        path names the behavior its instrumented statements record."""
+        probe = self.probe
+        if probe is None:
+            return None, None
+        if not self.compile_cache:
+            return self._on_env_read, self._on_env_write
+        state = self._state
+        return (
+            lambda name: probe.on_read(state.behavior, name),
+            lambda name: probe.on_write(state.behavior, name),
+        )
 
     def _on_env_read(self, name: str) -> None:
         self.probe.on_read(self._current_behavior, name)
@@ -374,9 +473,11 @@ class Simulator:
             self.probe.on_behavior_start(behavior.name, kernel.now)
         if isinstance(behavior, LeafBehavior):
             if self.compile_cache:
-                plain, fn = self._compiled_body(behavior.stmt_body)
-                if plain:
+                kind, fn = self._compiled_body(behavior.stmt_body)
+                if kind == _PLAIN:
                     fn(behavior.name, inner)
+                elif kind == _REQUEST:
+                    yield fn
                 else:
                     yield from fn(behavior.name, inner)
             else:
@@ -404,7 +505,7 @@ class Simulator:
             chosen = None
             # condition reads belong to the composite whose sequencer
             # evaluates them (matches the access graph's attribution)
-            self._current_behavior = behavior.name
+            self._current_behavior = self._state.behavior = behavior.name
             for arc in arcs:
                 if arc.condition is None or truthy(
                     self._eval(arc.condition, env)
@@ -505,10 +606,7 @@ class Simulator:
 
     def _observe_write(self, name: str, env: Env) -> None:
         if name in self._output_names:
-            self._trace_step += 1
-            self._trace.append(
-                TraceEvent(self._trace_step, name, env.peek(name))
-            )
+            self._state.observe_write(name, env)
 
     def _make_wait(self, stmt: Wait, env: Env):
         kernel = self._kernel
@@ -575,81 +673,86 @@ class Simulator:
 
     # -- the compiled fast path --------------------------------------------------
     #
-    # Each statement compiles once into either a *plain* closure
-    # ``fn(behavior, env) -> None`` (statement subtree cannot suspend:
-    # no Wait, no CallStmt, no instrumentation) or a *generator* closure
-    # ``fn(behavior, env) -> Iterator`` yielding kernel requests.  Plain
-    # spans execute without a generator frame per statement — the bulk
-    # of the interpreter's historical dispatch cost.  Caches are keyed
-    # by node identity and keep a strong reference to the node, so ids
-    # cannot be recycled while the simulator lives.
+    # Each statement compiles once into a ``(kind, fn)`` pair: a *plain*
+    # closure ``fn(behavior, env) -> None`` (the subtree cannot
+    # suspend: no Wait, no CallStmt, no instrumentation), a *generator*
+    # closure ``fn(behavior, env) -> Iterator`` yielding kernel
+    # requests, or a constant *request* (a static wait) that the
+    # enclosing body yields itself.  Plain spans and requests execute
+    # without a generator frame per statement — the bulk of the
+    # interpreter's historical dispatch cost.  Caches are keyed by node
+    # identity and keep a strong reference to the node, so ids cannot
+    # be recycled while the simulator lives.  Closures bind the
+    # simulator's :class:`_RunState`, never the simulator itself.
 
-    def _compiled_stmt(self, stmt: Stmt) -> Tuple[bool, Callable]:
+    def _compiled_stmt(self, stmt: Stmt) -> Tuple[int, object]:
         key = id(stmt)
         hit = self._stmt_cache.get(key)
         if hit is not None and hit[0] is stmt:
             return hit[1], hit[2]
-        plain, fn = self._build_stmt(stmt)
+        kind, fn = self._build_stmt(stmt)
         if self._instrumented:
-            plain, fn = False, self._instrument(stmt, plain, fn)
-        self._stmt_cache[key] = (stmt, plain, fn)
-        return plain, fn
+            kind, fn = _GEN, self._instrument(stmt, kind, fn)
+        self._stmt_cache[key] = (stmt, kind, fn)
+        return kind, fn
 
-    def _instrument(self, stmt: Stmt, plain: bool, fn: Callable) -> Callable:
+    def _instrument(self, stmt: Stmt, kind: int, fn) -> Callable:
         """Wrap a compiled statement so each execution charges time and
         fires the probe (mirrors the reference path's ``_charge``)."""
+        cost_fn = self.cost_fn
+        probe = self.probe
+        state = self._state
 
         def run(behavior: str, env: Env) -> Iterator:
-            self._current_behavior = behavior
+            state.behavior = behavior
             cost = 0.0
-            if self.cost_fn is not None:
-                cost = self.cost_fn(behavior, stmt)
-            if self.probe is not None:
-                self.probe.on_statement(behavior, stmt, cost)
+            if cost_fn is not None:
+                cost = cost_fn(behavior, stmt)
+            if probe is not None:
+                probe.on_statement(behavior, stmt, cost)
             if cost > 0:
                 yield WaitDelay(cost)
-            if plain:
+            if kind == _PLAIN:
                 fn(behavior, env)
+            elif kind == _REQUEST:
+                yield fn
             else:
                 yield from fn(behavior, env)
 
         return run
 
-    def _compiled_body(self, body: Body) -> Tuple[bool, Callable]:
+    def _compiled_body(self, body: Body) -> Tuple[int, object]:
         key = id(body)
         hit = self._body_cache.get(key)
         if hit is not None and hit[0] is body:
             return hit[1], hit[2]
         steps = tuple(self._compiled_stmt(stmt) for stmt in body)
         if len(steps) == 1:
-            # single-statement body: reuse its closure directly (saves
-            # one generator frame per execution on the non-plain path)
-            plain, fn = steps[0]
-            self._body_cache[key] = (body, plain, fn)
-            return plain, fn
-        if all(plain for plain, _ in steps):
-            if len(steps) == 1:
-                plain, fn = True, steps[0][1]
-            else:
-                fns = tuple(fn for _, fn in steps)
+            # single-statement body: reuse its closure (or request)
+            # directly — no wrapper frame per execution
+            kind, fn = steps[0]
+        elif all(kind == _PLAIN for kind, _ in steps):
+            fns = tuple(fn for _, fn in steps)
 
-                def run_plain(behavior: str, env: Env) -> None:
-                    for step in fns:
-                        step(behavior, env)
+            def run_plain(behavior: str, env: Env) -> None:
+                for step in fns:
+                    step(behavior, env)
 
-                plain, fn = True, run_plain
+            kind, fn = _PLAIN, run_plain
         else:
 
             def run_gen(behavior: str, env: Env) -> Iterator:
-                for step_plain, step in steps:
-                    if step_plain:
+                for step_kind, step in steps:
+                    if step_kind == _PLAIN:
                         step(behavior, env)
+                    elif step_kind == _REQUEST:
+                        yield step
                     else:
                         yield from step(behavior, env)
 
-            plain, fn = False, run_gen
-        self._body_cache[key] = (body, plain, fn)
-        return plain, fn
+            kind, fn = _GEN, run_gen
+        self._body_cache[key] = (body, kind, fn)
+        return kind, fn
 
     @staticmethod
     def _raising(message: str) -> Callable:
@@ -658,7 +761,7 @@ class Simulator:
 
         return fail
 
-    def _build_stmt(self, stmt: Stmt) -> Tuple[bool, Callable]:
+    def _build_stmt(self, stmt: Stmt) -> Tuple[int, object]:
         if isinstance(stmt, Assign):
             return self._build_assign(stmt)
         if isinstance(stmt, SignalAssign):
@@ -670,153 +773,184 @@ class Simulator:
         if isinstance(stmt, For):
             return self._build_for(stmt)
         if isinstance(stmt, Wait):
-            return False, self._build_wait(stmt)
+            return self._build_wait(stmt)
         if isinstance(stmt, CallStmt):
             return self._build_call(stmt)
         if isinstance(stmt, Null):
-            return True, lambda behavior, env: None
-        return True, self._raising(f"unknown statement {stmt!r}")
+            return _PLAIN, lambda behavior, env: None
+        return _PLAIN, self._raising(f"unknown statement {stmt!r}")
 
-    def _build_assign(self, stmt: Assign) -> Tuple[bool, Callable]:
-        target = stmt.target
-        value_fn = self._expr.compile(stmt.value)
-        if isinstance(target, VarRef):
-            name = target.name
-            if name in self._output_names:
+    def _compile_store(self, target: Expr) -> Callable[[Env, object], None]:
+        """``store(env, value)``: the reference path's ``_do_assign``,
+        output-trace recording included."""
+        store = self._expr.compile_store(target)
+        if store is None:
+            message = f"invalid assignment target {target}"
 
-                def run(behavior: str, env: Env) -> None:
-                    env.write(name, value_fn(env))
-                    self._observe_write(name, env)
+            def invalid(env: Env, value) -> None:
+                raise SimulationError(message)
 
-            else:
+            return invalid
+        name = target.name if isinstance(target, VarRef) else target.base.name
+        if name not in self._output_names:
+            return store
+        observe = self._state.observe_write
 
-                def run(behavior: str, env: Env) -> None:
-                    env.write(name, value_fn(env))
+        def store_observed(env: Env, value) -> None:
+            store(env, value)
+            observe(name, env)
 
-            return True, run
-        if isinstance(target, Index) and isinstance(target.base, VarRef):
-            base = target.base.name
-            index_fn = self._expr.compile(target.index_expr)
-            if base in self._output_names:
+        return store_observed
 
-                def run(behavior: str, env: Env) -> None:
-                    value = value_fn(env)
-                    env.write_array_element(base, index_fn(env), value)
-                    self._observe_write(base, env)
-
-            else:
-
-                def run(behavior: str, env: Env) -> None:
-                    value = value_fn(env)
-                    env.write_array_element(base, index_fn(env), value)
-
-            return True, run
-        return True, self._raising(f"invalid assignment target {target}")
-
-    def _build_signal_assign(self, stmt: SignalAssign) -> Tuple[bool, Callable]:
-        target = stmt.target
-        if not isinstance(target, VarRef):
-            return True, self._raising(
-                f"signal assignment target must be a signal name, got {target}"
-            )
-        name = target.name
+    def _build_assign(self, stmt: Assign) -> Tuple[int, Callable]:
+        store = self._compile_store(stmt.target)
         value_fn = self._expr.compile(stmt.value)
 
         def run(behavior: str, env: Env) -> None:
-            value = value_fn(env)
-            # self._signal_types is rebuilt per run(); resolve late
-            dtype = self._signal_types.get(name)
+            store(env, value_fn(env))
+
+        return _PLAIN, run
+
+    def _build_signal_assign(self, stmt: SignalAssign) -> Tuple[int, Callable]:
+        target = stmt.target
+        if not isinstance(target, VarRef):
+            return _PLAIN, self._raising(
+                f"signal assignment target must be a signal name, got {target}"
+            )
+        name = target.name
+        dtype = self._signal_types.get(name)
+        if isinstance(stmt.value, Const):
+            value = stmt.value.value
             if dtype is not None:
-                value = dtype.coerce(value)
+                try:
+                    value = dtype.coerce(value)
+                except TypeMismatchError as exc:
+                    # a constant that does not fit fails when the
+                    # statement executes, exactly as on the reference path
+                    error_type, args = type(exc), exc.args
+
+                    def misfit(behavior: str, env: Env) -> None:
+                        raise error_type(*args)
+
+                    return _PLAIN, misfit
+
+            def run_const(behavior: str, env: Env) -> None:
+                env.kernel.write_signal(name, value)
+
+            return _PLAIN, run_const
+        value_fn = self._expr.compile(stmt.value)
+        if dtype is None:
+
+            def run_untyped(behavior: str, env: Env) -> None:
+                env.kernel.write_signal(name, value_fn(env))
+
+            return _PLAIN, run_untyped
+        coerce = dtype.coerce
+        low, high = _int_range(dtype)
+
+        def run(behavior: str, env: Env) -> None:
+            value = value_fn(env)
+            if type(value) is not int or not low <= value <= high:
+                value = coerce(value)
             env.kernel.write_signal(name, value)
 
-        return True, run
+        return _PLAIN, run
 
-    def _build_if(self, stmt: If) -> Tuple[bool, Callable]:
-        cond_fn = self._expr.compile(stmt.cond)
+    def _condition(self, expr: Expr) -> Callable[[Env], bool]:
+        """A compiled condition: ``truthy`` is skipped for structurally
+        boolean expressions, where it is the identity."""
+        fn = self._expr.compile(expr)
+        if _static_bool(expr):
+            return fn
+        return lambda env: truthy(fn(env))
+
+    def _build_if(self, stmt: If) -> Tuple[int, Callable]:
+        cond_fn = self._condition(stmt.cond)
         then = self._compiled_body(stmt.then_body)
         elifs = tuple(
-            (self._expr.compile(cond), self._compiled_body(arm))
+            (self._condition(cond), self._compiled_body(arm))
             for cond, arm in stmt.elifs
         )
         orelse = self._compiled_body(stmt.else_body)
-        if then[0] and orelse[0] and all(arm[0] for _, arm in elifs):
+        if then[0] == orelse[0] == _PLAIN and all(
+            arm[0] == _PLAIN for _, arm in elifs
+        ):
             then_fn = then[1]
             else_fn = orelse[1]
             arms = tuple((arm_cond, arm[1]) for arm_cond, arm in elifs)
 
             def run(behavior: str, env: Env) -> None:
-                if truthy(cond_fn(env)):
+                if cond_fn(env):
                     then_fn(behavior, env)
                     return
                 for arm_cond, arm_fn in arms:
-                    if truthy(arm_cond(env)):
+                    if arm_cond(env):
                         arm_fn(behavior, env)
                         return
                 else_fn(behavior, env)
 
-            return True, run
+            return _PLAIN, run
 
         def run_gen(behavior: str, env: Env) -> Iterator:
-            branch = None
-            if truthy(cond_fn(env)):
-                branch = then
+            if cond_fn(env):
+                kind, fn = then
             else:
                 for arm_cond, arm in elifs:
-                    if truthy(arm_cond(env)):
-                        branch = arm
+                    if arm_cond(env):
+                        kind, fn = arm
                         break
                 else:
-                    branch = orelse
-            plain, fn = branch
-            if plain:
+                    kind, fn = orelse
+            if kind == _PLAIN:
                 fn(behavior, env)
+            elif kind == _REQUEST:
+                yield fn
             else:
                 yield from fn(behavior, env)
 
-        return False, run_gen
+        return _GEN, run_gen
 
-    def _build_while(self, stmt: While) -> Tuple[bool, Callable]:
-        cond_fn = self._expr.compile(stmt.cond)
-        plain, body_fn = self._compiled_body(stmt.loop_body)
+    def _build_while(self, stmt: While) -> Tuple[int, Callable]:
+        cond_fn = self._condition(stmt.cond)
+        kind, body_fn = self._compiled_body(stmt.loop_body)
         if isinstance(stmt.cond, Const) and isinstance(
             stmt.cond.value, (bool, int)
         ):
             # ``while 1`` server loops: drop the per-iteration test
             if not truthy(stmt.cond.value):
-                return True, lambda behavior, env: None
-            if plain:
-                # a plain infinite loop can never yield: surface the
-                # hang as the reference path would (by running it), so
-                # fall through to the generic closure below
-                pass
-            else:
+                return _PLAIN, lambda behavior, env: None
+            # a plain infinite loop can never yield: surface the hang
+            # as the reference path would (by running it), through the
+            # generic closure below
+            if kind != _PLAIN:
+                body_gen = _as_generator(kind, body_fn)
 
                 def run_forever(behavior: str, env: Env) -> Iterator:
                     while True:
-                        yield from body_fn(behavior, env)
+                        yield from body_gen(behavior, env)
 
-                return False, run_forever
-        if plain:
+                return _GEN, run_forever
+        if kind == _PLAIN:
 
             def run(behavior: str, env: Env) -> None:
-                while truthy(cond_fn(env)):
+                while cond_fn(env):
                     body_fn(behavior, env)
 
-            return True, run
+            return _PLAIN, run
+        body_gen = _as_generator(kind, body_fn)
 
         def run_gen(behavior: str, env: Env) -> Iterator:
-            while truthy(cond_fn(env)):
-                yield from body_fn(behavior, env)
+            while cond_fn(env):
+                yield from body_gen(behavior, env)
 
-        return False, run_gen
+        return _GEN, run_gen
 
-    def _build_for(self, stmt: For) -> Tuple[bool, Callable]:
+    def _build_for(self, stmt: For) -> Tuple[int, Callable]:
         start_fn = self._expr.compile(stmt.start)
         stop_fn = self._expr.compile(stmt.stop)
         variable = stmt.variable
-        plain, body_fn = self._compiled_body(stmt.loop_body)
-        if plain:
+        kind, body_fn = self._compiled_body(stmt.loop_body)
+        if kind == _PLAIN:
 
             def run(behavior: str, env: Env) -> None:
                 start = start_fn(env)
@@ -828,7 +962,8 @@ class Simulator:
                     loop_frame.declare_raw(variable, value)
                     body_fn(behavior, loop_env)
 
-            return True, run
+            return _PLAIN, run
+        body_gen = _as_generator(kind, body_fn)
 
         def run_gen(behavior: str, env: Env) -> Iterator:
             start = start_fn(env)
@@ -838,90 +973,103 @@ class Simulator:
             loop_env = env.child(loop_frame)
             for value in range(start, stop + 1):
                 loop_frame.declare_raw(variable, value)
-                yield from body_fn(behavior, loop_env)
+                yield from body_gen(behavior, loop_env)
 
-        return False, run_gen
+        return _GEN, run_gen
 
-    def _build_wait(self, stmt: Wait) -> Callable:
-        """Compile a wait: the request shape, the condition closure, the
-        sensitivity name set and the diagnostic label are all fixed at
-        compile time; only signal membership and snapshots are taken per
-        execution."""
+    def _build_wait(self, stmt: Wait) -> Tuple[int, object]:
+        """Compile a wait.  ``wait for N`` and a *static* ``wait until``
+        (every free name a pure signal) are one constant request each,
+        reused for the simulator's lifetime: the static condition's
+        sensitivity is fixed and its predicate reads the current run's
+        signal store.  Any other ``wait until`` resolves its signals per
+        env; ``wait on`` snapshots the signals per execution."""
         if stmt.delay is not None:
-            request = WaitDelay(stmt.delay * self.time_unit)
-
-            def run_delay(behavior: str, env: Env) -> Iterator:
-                yield request
-
-            return run_delay
+            return _REQUEST, WaitDelay(stmt.delay * self.time_unit)
         if stmt.until is not None:
             cond = stmt.until
-            cond_fn = self._expr.compile(cond)
-            cond_bool = _static_bool(cond)
-            names = tuple(free_variables(cond))
-            label = f"until {cond}"
-            # Which free names are signals depends only on the names
-            # bound by each frame in the chain — static per frame
-            # *owner* — so the sensitivity set is memoised by the
-            # owner chain (stable across e.g. repeated subprogram
-            # calls, whose envs are fresh objects each time).  The
-            # whole WaitCondition (whose predicate closes over the
-            # env) is reused via the env's own resolution map: a
-            # long-lived behavior env hits forever, a churning call
-            # env rebuilds one request per call and then dies with it.
-            sens_cache: Dict[tuple, frozenset] = {}
-            # "\x00" keeps the key out of the variable-name namespace
-            wait_key = f"\x00wait:{id(stmt)}"
-
-            def run_until(behavior: str, env: Env) -> Iterator:
-                request = env._resolve.get(wait_key)
-                if request is None:
-                    chain = tuple(frame.owner for frame in env.frames)
-                    sensitivity = sens_cache.get(chain)
-                    if sensitivity is None:
-                        sensitivity = frozenset(
-                            name for name in names if env.is_signal(name)
-                        )
-                        sens_cache[chain] = sensitivity
-                    if cond_bool:
-                        predicate = lambda: cond_fn(env)  # noqa: E731
-                    else:
-                        predicate = lambda: truthy(  # noqa: E731
-                            cond_fn(env)
-                        )
-                    request = WaitCondition(predicate, sensitivity, label=label)
-                    env._resolve[wait_key] = request
-                yield request
-
-            return run_until
+            names = free_variables(cond)
+            if not names <= self._pure_signals:
+                return _GEN, self._build_scoped_wait(stmt)
+            test = self._signal_expr.compile(cond)
+            state = self._state
+            if _static_bool(cond):
+                predicate = lambda: test(state.signals)  # noqa: E731
+            else:
+                predicate = lambda: truthy(test(state.signals))  # noqa: E731
+            request = WaitCondition(predicate, names, label=f"until {cond}")
+            return _REQUEST, request
         # wait on s1, s2: edge-sensitive — wake on any change
         names = tuple(stmt.on)
         sensitivity = frozenset(names)
         label = "on " + ", ".join(names)
 
         def run_on(behavior: str, env: Env) -> Iterator:
-            kernel = self._kernel
+            kernel = env.kernel
+            signals = kernel._signals
             snapshot = [(name, kernel.read_signal(name)) for name in names]
             yield WaitCondition(
-                lambda: any(
-                    kernel.read_signal(name) != old for name, old in snapshot
-                ),
+                lambda: any(signals[name] != old for name, old in snapshot),
                 sensitivity,
                 label=label,
             )
 
-        return run_on
+        return _GEN, run_on
 
-    def _build_call(self, stmt: CallStmt) -> Tuple[bool, Callable]:
+    def _build_scoped_wait(self, stmt: Wait) -> Callable:
+        """A ``wait until`` naming something a frame may bind: which of
+        its names are signals depends on the scope."""
+        cond = stmt.until
+        cond_fn = self._expr.compile(cond)
+        cond_bool = _static_bool(cond)
+        names = tuple(free_variables(cond))
+        label = f"until {cond}"
+        # Which free names are signals depends only on the names bound
+        # by each frame in the chain — static per frame *owner* — so
+        # the sensitivity set is memoised by the owner chain (stable
+        # across e.g. repeated subprogram calls, whose envs are fresh
+        # objects each time).  The whole WaitCondition (whose predicate
+        # closes over the env) is reused via the env's own resolution
+        # map: a long-lived behavior env hits forever, a churning call
+        # env rebuilds one request per call and then dies with it.
+        sens_cache: Dict[tuple, frozenset] = {}
+        # "\x00" keeps the key out of the variable-name namespace
+        wait_key = f"\x00wait:{id(stmt)}"
+
+        def run_until(behavior: str, env: Env) -> Iterator:
+            request = env._resolve.get(wait_key)
+            if request is None:
+                chain = tuple(frame.owner for frame in env.frames)
+                sensitivity = sens_cache.get(chain)
+                if sensitivity is None:
+                    sensitivity = frozenset(
+                        name for name in names if env.is_signal(name)
+                    )
+                    sens_cache[chain] = sensitivity
+                if cond_bool:
+                    predicate = lambda: cond_fn(env)  # noqa: E731
+                else:
+                    predicate = lambda: truthy(cond_fn(env))  # noqa: E731
+                request = WaitCondition(predicate, sensitivity, label=label)
+                env._resolve[wait_key] = request
+            yield request
+
+        return run_until
+
+    def _build_call(self, stmt: CallStmt) -> Tuple[int, Callable]:
         callee = self.spec.subprograms.get(stmt.callee)
         if callee is None:
-            return False, self._raising_gen(
+            return _GEN, self._raising_gen(
                 f"call to unknown subprogram {stmt.callee!r}"
             )
         if len(stmt.args) != callee.arity:
-            return False, self._raising_gen(
+            return _GEN, self._raising_gen(
                 f"{stmt.callee!r} expects {callee.arity} args, "
                 f"got {len(stmt.args)}"
+            )
+        if any(decl.kind is StorageClass.SIGNAL for decl in callee.decls):
+            return _GEN, self._raising_gen(
+                f"subprogram {callee.name!r} declares a signal; unsupported"
             )
         arg_fns = tuple(self._expr.compile(arg) for arg in stmt.args)
         params = callee.params
@@ -929,7 +1077,7 @@ class Simulator:
         # everything shape-dependent is fixed at compile time: the
         # copy-in plan (OUT params get the dtype default — values are
         # immutable, so the default is safe to share), the local decls,
-        # and the copy-out pairs
+        # and the compiled copy-out stores
         copy_in = tuple(
             (
                 param.name,
@@ -939,87 +1087,77 @@ class Simulator:
                 else None,
                 None if param.direction is Direction.OUT else arg_fn,
             )
+            + _int_range(param.dtype)
             for param, arg_fn in zip(params, arg_fns)
-        )
-        signal_decl = any(
-            decl.kind is StorageClass.SIGNAL for decl in callee.decls
         )
         decls = tuple(callee.decls)
         copy_out = tuple(
-            (param.name, arg)
+            (param.name, self._compile_store(arg))
             for param, arg in zip(params, stmt.args)
             if param.direction in (Direction.OUT, Direction.INOUT)
         )
-
-        # compile the callee body eagerly when not recursive, so a
-        # wait-free subprogram collapses into a *plain* call (no
-        # generator frame); recursive callees compile lazily at first
-        # execution instead
-        body_plain = False
-        body_fn: Optional[Callable] = None
-        if (
-            callee.name not in self._compiling_calls
-            and not signal_decl
-        ):
-            self._compiling_calls.add(callee.name)
+        state = self._state
+        # the callee body, compiled once per simulator; a recursive
+        # call is compiled while its callee's cell is still empty and
+        # reads the cell when it executes
+        cell = self._callee_bodies.get(callee.name)
+        if cell is None:
+            cell = self._callee_bodies[callee.name] = []
             try:
-                body_plain, body_fn = self._compiled_body(callee.stmt_body)
-            finally:
-                self._compiling_calls.discard(callee.name)
+                cell.append(self._compiled_body(callee.stmt_body))
+            except BaseException:
+                del self._callee_bodies[callee.name]
+                raise
 
         def enter(env: Env) -> Tuple[Frame, Env]:
             frame = Frame(frame_name)
             slots = frame.slots
-            for name, dtype, default, arg_fn in copy_in:
+            for name, dtype, default, arg_fn, low, high in copy_in:
                 if arg_fn is None:
                     slots[name] = [dtype, default]
-                else:
-                    slots[name] = [dtype, dtype.coerce(arg_fn(env))]
+                    continue
+                value = arg_fn(env)
+                if type(value) is not int or not low <= value <= high:
+                    value = dtype.coerce(value)
+                slots[name] = [dtype, value]
             for decl in decls:
                 frame.declare(decl)
             # subprogram bodies see globals + their own frame, not the
             # caller's locals (mirrors the validator's scope rule)
             call_env = Env(
-                self._kernel,
-                (frame, self._frames[""]),
+                env.kernel,
+                (frame, state.global_frame),
                 on_read=env.on_read,
                 on_write=env.on_write,
             )
             return frame, call_env
 
-        if body_plain:
+        if cell and cell[0][0] == _PLAIN:
+            body_fn = cell[0][1]
 
             def run_plain(behavior: str, env: Env) -> None:
                 frame, call_env = enter(env)
                 body_fn(behavior, call_env)
-                for name, arg in copy_out:
-                    self._do_assign(
-                        arg, frame.slots[name][1], behavior, env
-                    )
+                slots = frame.slots
+                for name, store in copy_out:
+                    store(env, slots[name][1])
 
-            return True, run_plain
+            return _PLAIN, run_plain
 
         def run(behavior: str, env: Env) -> Iterator:
-            if signal_decl:
-                raise SimulationError(
-                    f"subprogram {callee.name!r} declares a signal; "
-                    f"unsupported"
-                )
             frame, call_env = enter(env)
-            plain, fn = (
-                (body_plain, body_fn)
-                if body_fn is not None
-                else self._compiled_body(callee.stmt_body)
-            )
-            if plain:
+            kind, fn = cell[0]
+            if kind == _PLAIN:
                 fn(behavior, call_env)
+            elif kind == _REQUEST:
+                yield fn
             else:
                 yield from fn(behavior, call_env)
-            # copy-out
-            for name, arg in copy_out:
-                self._do_assign(arg, frame.slots[name][1], behavior, env)
+            slots = frame.slots
+            for name, store in copy_out:
+                store(env, slots[name][1])
 
-        return False, run
+        return _GEN, run
 
     @staticmethod
     def _raising_gen(message: str) -> Callable:
@@ -1028,3 +1166,52 @@ class Simulator:
             yield  # pragma: no cover — generator shape only
 
         return fail
+
+
+def _as_generator(kind: int, fn) -> Callable:
+    """A compiled statement or body as a generator closure."""
+    if kind == _GEN:
+        return fn
+    if kind == _REQUEST:
+
+        def yield_request(behavior: str, env: Env) -> Iterator:
+            yield fn
+
+        return yield_request
+
+    def run_plain(behavior: str, env: Env) -> Iterator:
+        fn(behavior, env)
+        return
+        yield  # pragma: no cover — generator shape only
+
+    return run_plain
+
+
+def _int_range(dtype: DataType) -> Tuple[float, float]:
+    """Bounds within which ``dtype.coerce`` returns a plain int as is
+    (the call is skipped there); empty for non-integer types."""
+    if isinstance(dtype, IntType):
+        return dtype.min_value, dtype.max_value
+    if isinstance(dtype, BitVectorType):
+        return 0, (1 << dtype.width) - 1
+    return math.inf, -math.inf
+
+
+def _pure_signal_names(spec: Specification) -> frozenset:
+    """Signals no frame can bind: declared only as signals, and shared
+    by no variable, parameter, subprogram local or loop variable."""
+    signals = set()
+    bound = set()
+    for _, decl in spec.all_declared_variables():
+        (signals if decl.kind is StorageClass.SIGNAL else bound).add(decl.name)
+    bodies = [leaf.stmt_body for leaf in spec.leaf_behaviors()]
+    for sub in spec.subprograms.values():
+        bound.update(param.name for param in sub.params)
+        bound.update(decl.name for decl in sub.decls)
+        bodies.append(sub.stmt_body)
+    for body in bodies:
+        bound.update(
+            stmt.variable for stmt in walk_statements(body)
+            if isinstance(stmt, For)
+        )
+    return frozenset(signals - bound)

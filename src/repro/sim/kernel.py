@@ -468,6 +468,13 @@ class Kernel:
             if metrics is not None:
                 metrics.wall_seconds += _time.perf_counter() - wall_started
                 metrics.note_streak(self._delta_streak)
+            # a condition still waiting would otherwise point back at
+            # this kernel (``_index_kernel``) from the kernel's own
+            # waiter map — a reference cycle; a later suspension simply
+            # re-resolves the buckets
+            for condition in self._cond_waiters.values():
+                condition._index_sets = None
+                condition._index_kernel = None
         unfinished = [
             p.name for p in required if not p.finished and p.failed is None
         ]
@@ -610,13 +617,21 @@ class Kernel:
                             signals[name] = value
                             changed = (name,)
                             candidates = sensitivity.get(name, ())
+                            m_signal_changes += 1
+                            # a bus transaction is a strobe's rising
+                            # edge (no strobes without metrics)
+                            if value and name in strobes:
+                                m_bus += 1
                     else:
                         changed_set: Set[str] = set()
                         for name, value in pending.items():
                             if signals[name] != value:
                                 signals[name] = value
                                 changed_set.add(name)
+                                if value and name in strobes:
+                                    m_bus += 1
                         pending.clear()
+                        m_signal_changes += len(changed_set)
                         if changed_set:
                             changed = changed_set
                             candidate_set: Set[Process] = set()
@@ -654,16 +669,18 @@ class Kernel:
                         ]
                     for process in woken:
                         condition = cond_waiters.pop(process)
-                        self._unindex(process, condition)
+                        buckets = condition._index_sets
+                        if condition._index_kernel is self:
+                            # inlined _unindex (the bucket cache is set)
+                            for waiters in buckets:
+                                waiters.discard(process)
+                        else:
+                            self._unindex(process, condition)
                         process._waiting_on = None
                         ready.append(process)
                     if metrics is not None:
                         m_delta_cycles += 1
-                        m_signal_changes += len(changed)
                         m_wakeups += len(woken)
-                        for name in changed:
-                            if name in strobes and signals[name]:
-                                m_bus += 1
                     delta_streak += 1
                     if max_delta is not None and delta_streak > max_delta:
                         raise SimulationLimitExceeded(
