@@ -7,6 +7,7 @@ from repro.partition.auto import (
     movable_objects,
 )
 from repro.partition.metrics import (
+    PartitionObjective,
     balance_penalty,
     cut_weight,
     load_by_component,
@@ -16,6 +17,7 @@ from repro.partition.partition import Partition
 
 __all__ = [
     "Partition",
+    "PartitionObjective",
     "annealed_partition",
     "greedy_partition",
     "kl_partition",

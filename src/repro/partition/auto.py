@@ -2,7 +2,8 @@
 
 Three algorithms over the same move space (reassign one leaf behavior
 or one variable to another component) and the same objective
-(:func:`repro.partition.metrics.partition_cost`):
+(:class:`repro.partition.metrics.PartitionObjective`, the compiled form
+of :func:`repro.partition.metrics.partition_cost`):
 
 * :func:`greedy_partition` — constructive: start with everything on the
   first component, repeatedly take the single move that most reduces
@@ -13,19 +14,23 @@ or one variable to another component) and the same objective
 * :func:`annealed_partition` — simulated annealing with a geometric
   cooling schedule and a seeded RNG (runs are reproducible).
 
-All three return a valid :class:`Partition` covering every leaf and
-every partitionable variable.
+The searches work on plain ``{object: component}`` dicts scored by one
+objective built per call, and each returns one validated
+:class:`Partition` covering every leaf and every partitionable variable.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import PartitionError
 from repro.graph.access_graph import AccessGraph
-from repro.partition.metrics import partition_cost
+from repro.partition.metrics import PartitionObjective
+# re-exported under its historical name: perfbench/layers.py wraps
+# ``repro.partition.auto.partition_cost`` by attribute
+from repro.partition.metrics import partition_cost  # noqa: F401
 from repro.partition.partition import Partition
 from repro.spec.specification import Specification
 
@@ -72,31 +77,34 @@ def _move_space(spec: Specification, graph: AccessGraph) -> List[str]:
     return objects
 
 
-def _named(partition: Partition, name: str) -> Partition:
-    """A renamed clone.  The partitioners return this instead of
-    mutating ``partition.name`` so a caller-supplied seed partition is
-    never modified in place (the no-improvement path used to hand back
-    the seed object itself, renamed)."""
-    return Partition(partition.spec, partition.assignment, name=name)
-
-
-def _initial(spec: Specification, objects: Sequence[str], components) -> Partition:
-    """Round-robin start: balanced, so descent spends its moves
-    reducing the cut instead of fixing a lopsided load."""
+def _start(
+    spec: Specification,
+    objects: Sequence[str],
+    components,
+    seed_partition: Optional[Partition] = None,
+) -> Dict[str, str]:
+    """The working assignment a search moves: a copy of the seed's (so
+    the caller's partition is never touched) or the round-robin start.
+    Round robin is balanced, so descent spends its moves reducing the
+    cut instead of fixing a lopsided load; it is validated once as a
+    :class:`Partition` (named ``auto``), so a move space the
+    specification cannot partition fails with a
+    :class:`PartitionError`."""
+    if seed_partition:
+        return dict(seed_partition.assignment)
     assignment = {
         obj: components[index % len(components)]
         for index, obj in enumerate(objects)
     }
-    return Partition(spec, assignment, name="auto")
+    return Partition(spec, assignment, name="auto").assignment
 
 
-def _cost(graph, partition, balance_weight, expected_components):
-    return partition_cost(
-        graph,
-        partition,
-        balance_weight=balance_weight,
-        expected_components=expected_components,
-    )
+def _moved(assignment: Dict[str, str], obj: str, component: str) -> Dict[str, str]:
+    """``assignment`` with ``obj`` reassigned, key order preserved (a
+    new key goes last, as :meth:`Partition.moved` would place it)."""
+    candidate = dict(assignment)
+    candidate[obj] = component
+    return candidate
 
 
 def greedy_partition(
@@ -111,27 +119,27 @@ def greedy_partition(
         raise PartitionError("need at least two components to partition")
     graph = graph or AccessGraph.from_specification(spec)
     objects = _move_space(spec, graph)
-    current = _initial(spec, objects, components)
-    current_cost = _cost(graph, current, balance_weight, len(components))
+    objective = PartitionObjective(spec, graph, balance_weight, len(components))
+    current = _start(spec, objects, components)
+    current_cost = objective.cost(current)
 
     for _ in range(max_rounds):
         best_move: Optional[Tuple[str, str]] = None
         best_cost = current_cost
         for obj in objects:
-            here = current.assignment[obj]
+            here = current[obj]
             for component in components:
                 if component == here:
                     continue
-                candidate = current.moved(obj, component)
-                cost = _cost(graph, candidate, balance_weight, len(components))
+                cost = objective.cost(_moved(current, obj, component))
                 if cost < best_cost - 1e-12:
                     best_cost = cost
                     best_move = (obj, component)
         if best_move is None:
             break
-        current = current.moved(*best_move)
+        current = _moved(current, *best_move)
         current_cost = best_cost
-    return _named(current, "greedy")
+    return Partition(spec, current, name="greedy")
 
 
 def kl_partition(
@@ -148,35 +156,34 @@ def kl_partition(
         raise PartitionError("need at least two components to partition")
     graph = graph or AccessGraph.from_specification(spec)
     objects = _move_space(spec, graph)
-    current = seed_partition or _initial(spec, objects, components)
-    current_cost = _cost(graph, current, balance_weight, len(components))
+    objective = PartitionObjective(spec, graph, balance_weight, len(components))
+    current = _start(spec, objects, components, seed_partition)
+    current_cost = objective.cost(current)
 
     for _ in range(max_passes):
         locked: set = set()
-        trail: List[Tuple[Partition, float]] = []
+        trail: List[Tuple[Dict[str, str], float]] = []
         working = current
-        working_cost = current_cost
         while len(locked) < len(objects):
             best_move = None
             best_cost = math.inf
             for obj in objects:
                 if obj in locked:
                     continue
-                here = working.assignment[obj]
+                here = working[obj]
                 for component in components:
                     if component == here:
                         continue
-                    candidate = working.moved(obj, component)
-                    cost = _cost(graph, candidate, balance_weight, len(components))
+                    candidate = _moved(working, obj, component)
+                    cost = objective.cost(candidate)
                     if cost < best_cost:
                         best_cost = cost
-                        best_move = (obj, component, candidate)
+                        best_move = (obj, candidate)
             if best_move is None:
                 break
-            obj, component, working = best_move[0], best_move[1], best_move[2]
-            working_cost = best_cost
+            obj, working = best_move
             locked.add(obj)
-            trail.append((working, working_cost))
+            trail.append((working, best_cost))
         if not trail:
             break
         prefix_best = min(trail, key=lambda item: item[1])
@@ -184,7 +191,7 @@ def kl_partition(
             current, current_cost = prefix_best
         else:
             break
-    return _named(current, "kl")
+    return Partition(spec, current, name="kl")
 
 
 def annealed_partition(
@@ -206,22 +213,23 @@ def annealed_partition(
         raise PartitionError("need at least two components to partition")
     graph = graph or AccessGraph.from_specification(spec)
     objects = _move_space(spec, graph)
+    objective = PartitionObjective(spec, graph, balance_weight, len(components))
     rng = random.Random(seed)
-    current = seed_partition or _initial(spec, objects, components)
-    current_cost = _cost(graph, current, balance_weight, len(components))
+    current = _start(spec, objects, components, seed_partition)
+    current_cost = objective.cost(current)
     best, best_cost = current, current_cost
     temperature = start_temperature
 
     for _ in range(steps):
         obj = rng.choice(objects)
-        here = current.assignment[obj]
+        here = current[obj]
         target = rng.choice([c for c in components if c != here])
-        candidate = current.moved(obj, target)
-        cost = _cost(graph, candidate, balance_weight, len(components))
+        candidate = _moved(current, obj, target)
+        cost = objective.cost(candidate)
         delta = cost - current_cost
         if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-9)):
             current, current_cost = candidate, cost
             if cost < best_cost:
                 best, best_cost = candidate, cost
         temperature *= cooling
-    return _named(best, "annealed")
+    return Partition(spec, best, name="annealed")

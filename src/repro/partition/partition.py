@@ -16,7 +16,7 @@ global memory module they land in for Model2/Model3).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.errors import PartitionError
 from repro.spec.behavior import Behavior
@@ -66,8 +66,9 @@ class Partition:
             for v in self.spec.variables
             if v.kind is StorageClass.VARIABLE and v.role is Role.INTERNAL
         }
+        behavior_names = self._behavior_names()
         for obj in self.assignment:
-            if self.spec.has_behavior(obj) or obj in known_vars:
+            if obj in behavior_names or obj in known_vars:
                 continue
             raise PartitionError(
                 f"{self.name}: {obj!r} is neither a behavior nor a "
@@ -85,6 +86,10 @@ class Partition:
                 raise PartitionError(
                     f"{self.name}: variable {var_name!r} is unassigned"
                 )
+
+    def _behavior_names(self) -> Set[str]:
+        """Every behavior name of the specification (one tree walk)."""
+        return {behavior.name for behavior in self.spec.behaviors()}
 
     # -- lookups ------------------------------------------------------------------
 
@@ -149,18 +154,20 @@ class Partition:
 
     def behaviors_of(self, component: str) -> List[str]:
         """Directly assigned behavior names on ``component``."""
+        behavior_names = self._behavior_names()
         return [
             obj
             for obj, comp in self.assignment.items()
-            if comp == component and self.spec.has_behavior(obj)
+            if comp == component and obj in behavior_names
         ]
 
     def variables_of(self, component: str) -> List[str]:
         """Variables homed on ``component``."""
+        behavior_names = self._behavior_names()
         return [
             obj
             for obj, comp in self.assignment.items()
-            if comp == component and not self.spec.has_behavior(obj)
+            if comp == component and obj not in behavior_names
         ]
 
     def leaves_of(self, component: str) -> List[str]:

@@ -6,6 +6,10 @@ The fuzz generator builds valid specs with distinct behavior/variable
 namespaces by construction, so every generated case must partition
 cleanly under all three algorithms — coverage of the whole move space,
 no regression past the round-robin start, and seeded determinism.
+
+The compiled :class:`PartitionObjective` must price any valid
+assignment — composite keys, unkeyed leaves, any key order — exactly
+(``==``) as the per-``Partition`` reference metrics do.
 """
 
 from functools import lru_cache
@@ -15,6 +19,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from repro.apps.workloads import resolve_workload
 from repro.exec import canonical_partition
 from repro.experiments.explore import DesignPoint, ParetoFrontier, _dominates
 from repro.fuzz.generator import GeneratorConfig, generate_case
@@ -25,7 +30,12 @@ from repro.partition.auto import (
     kl_partition,
     movable_objects,
 )
-from repro.partition.metrics import partition_cost
+from repro.partition.metrics import (
+    PartitionObjective,
+    balance_penalty,
+    cut_weight,
+    partition_cost,
+)
 from repro.partition.partition import Partition
 
 CONFIG = GeneratorConfig(budget=14)
@@ -111,6 +121,84 @@ class TestPartitionerProperties:
         )
         assert keep.name == "pinned"
         assert keep.assignment == base.assignment
+
+
+WORKLOADS = ("medical", "pcm_pwm", "answering")
+
+
+@lru_cache(maxsize=None)
+def workload_spec(workload_id):
+    spec = resolve_workload(workload_id).spec()
+    return spec, AccessGraph.from_specification(spec)
+
+
+def _source(key):
+    return workload_spec(key) if isinstance(key, str) else generated(key)
+
+
+@st.composite
+def assignments(draw, spec, graph, components):
+    """A valid assignment in random key order: a random set of keyed
+    composites, every leaf without a keyed ancestor keyed (the others
+    sometimes), and every partitionable variable."""
+    component = st.sampled_from(components)
+    composites = [b.name for b in spec.behaviors() if not b.is_leaf]
+    keyed = draw(st.lists(st.sampled_from(composites), unique=True))
+    assignment = {name: draw(component) for name in keyed}
+    for leaf in spec.leaf_behaviors():
+        covered = any(a.name in assignment for a in leaf.ancestors())
+        if not covered or draw(st.booleans()):
+            assignment[leaf.name] = draw(component)
+    leaves = {leaf.name for leaf in spec.leaf_behaviors()}
+    for obj in movable_objects(spec, graph):
+        if obj not in leaves:
+            assignment[obj] = draw(component)
+    order = draw(st.permutations(list(assignment)))
+    return {name: assignment[name] for name in order}
+
+
+class TestObjectiveParity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        source=st.one_of(st.sampled_from(WORKLOADS), seeds),
+        components=st.sampled_from([("SW", "HW"), ("SW", "HW", "ACC")]),
+        balance_weight=st.sampled_from([0, 0.35, 1]),
+        pass_k=st.booleans(),
+        data=st.data(),
+    )
+    def test_cost_equals_reference_metrics(
+        self, source, components, balance_weight, pass_k, data
+    ):
+        spec, graph = _source(source)
+        k = len(components) if pass_k else None
+        total_weight = sum(c.weight for c in graph.data_channels()) or 1.0
+        objective = PartitionObjective(spec, graph, balance_weight, k)
+
+        def check(assignment):
+            partition = Partition(spec, assignment, name="drawn")
+            expected = (
+                cut_weight(graph, partition) / total_weight
+                + balance_weight * balance_penalty(partition, k)
+            )
+            assert objective.cost(assignment) == expected
+            assert partition_cost(graph, partition, balance_weight, k) == expected
+
+        # one objective across several key sets, including a move that
+        # adds a key and the assignment without it scored again after
+        for _ in range(3):
+            assignment = data.draw(assignments(spec, graph, components))
+            check(assignment)
+            unkeyed = [
+                leaf.name for leaf in spec.leaf_behaviors()
+                if leaf.name not in assignment
+            ]
+            if unkeyed:
+                moved = dict(assignment)
+                moved[data.draw(st.sampled_from(unkeyed))] = data.draw(
+                    st.sampled_from(components)
+                )
+                check(moved)
+                check(assignment)
 
 
 objective_vectors = st.lists(
