@@ -11,7 +11,9 @@ makes serial and parallel campaign reports byte-identical.
 Observability plugs into the existing layers:
 
 * an :class:`repro.sim.metrics.ExecMetrics` counts jobs, cache
-  hits/misses/evictions, failures and fallbacks;
+  hits/misses/evictions, failures and fallbacks — the same
+  :class:`repro.sim.metrics.Counters` bag as the kernel's
+  ``SimMetrics``, so both render through one ``describe``;
 * a :class:`repro.obs.trace.SpanTracer` receives one ``exec`` span per
   grid and one child span per job (cache hits included, flagged
   ``cached=True``), so ``repro sweep --trace`` / ``repro fuzz --trace``

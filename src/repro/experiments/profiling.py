@@ -5,9 +5,9 @@ simulator as a measurement instrument: kernel counters are evidence
 about a refined design, not just progress indicators.  This module runs
 the full pipeline for one (design, model) cell with
 :class:`repro.sim.metrics.SimMetrics` attached to each run and a
-:class:`repro.sim.metrics.PhaseTimer` around each phase, and renders the
-result as a human table or JSON — the backing for the ``repro profile``
-CLI subcommand.
+:class:`repro.obs.trace.SpanTracer` span of category ``"phase"`` around
+each phase, and renders the result as a human table or JSON — the
+backing for the ``repro profile`` CLI subcommand.
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ from repro.apps.medical import MEDICAL_INPUTS
 from repro.experiments.tables import render_table
 from repro.models import resolve_model
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import SpanTracer
 from repro.refine.refiner import Refiner
 from repro.sim.equivalence import check_equivalence
 from repro.sim.interpreter import Simulator
-from repro.sim.metrics import PhaseTimer, SimMetrics
+from repro.sim.metrics import SimMetrics
 from repro.spec.specification import Specification
 
 __all__ = ["ProfileReport", "run_profile"]
@@ -35,8 +36,10 @@ class ProfileReport:
     """Everything one instrumented pipeline run measured.
 
     ``original_metrics`` / ``refined_metrics`` are the kernel counters
-    of the two simulation phases; ``phases`` carries wall-clock per
-    pipeline phase; ``equivalent`` is the verify phase's verdict.
+    of the two simulation phases; ``phases`` is the run's span tracer,
+    whose root spans of category ``"phase"`` time each pipeline phase
+    (:meth:`phase_seconds`); ``equivalent`` is the verify phase's
+    verdict.
     """
 
     def __init__(
@@ -52,7 +55,7 @@ class ProfileReport:
         self.model = model
         self.protocol = protocol
         self.inputs = dict(inputs)
-        self.phases = PhaseTimer()
+        self.phases = SpanTracer()
         self.original_metrics = SimMetrics()
         self.refined_metrics = SimMetrics()
         self.equivalent: Optional[bool] = None
@@ -70,6 +73,10 @@ class ProfileReport:
 
     # -- reporting ------------------------------------------------------------
 
+    def phase_seconds(self) -> Dict[str, float]:
+        """Phase -> seconds, in first-entry order."""
+        return self.phases.aggregate(category="phase")
+
     def render(self) -> str:
         """Counters and phase timings as aligned text tables."""
         rows: List[List[str]] = [
@@ -85,13 +92,11 @@ class ProfileReport:
                 f"{self.model} ({self.protocol})"
             ),
         )
+        phases = self.phase_seconds()
         timing = render_table(
             ["phase", "seconds"],
-            [
-                [name, f"{seconds:.4f}"]
-                for name, seconds in self.phases.as_dict().items()
-            ]
-            + [["total", f"{self.phases.total:.4f}"]],
+            [[name, f"{seconds:.4f}"] for name, seconds in phases.items()]
+            + [["total", f"{sum(phases.values()):.4f}"]],
         )
         if self.procedure_seconds:
             timing += "\n" + render_table(
@@ -124,7 +129,7 @@ class ProfileReport:
             "original_lines": self.original_lines,
             "refined_lines": self.refined_lines,
             "simulated_time": self.simulated_time,
-            "phases_seconds": self.phases.as_dict(),
+            "phases_seconds": self.phase_seconds(),
             "refine_procedure_seconds": dict(self.procedure_seconds),
             "original_metrics": self.original_metrics.as_dict(),
             "refined_metrics": self.refined_metrics.as_dict(),
@@ -168,26 +173,26 @@ def run_profile(
         }
     report = ProfileReport(spec, design, model, protocol, inputs)
     report.original_lines = spec.line_count()
-    phases = report.phases
+    tracer = report.phases
 
-    with phases.phase("refine"):
-        # sharing the phase timer's tracer nests the per-procedure
-        # refinement spans under the "refine" phase span
+    with tracer.span("refine", category="phase"):
+        # sharing the tracer nests the per-procedure refinement spans
+        # under the "refine" phase span
         refined = Refiner(
             spec, partition, resolve_model(model), protocol=protocol,
-            tracer=phases.tracer,
+            tracer=tracer,
         ).run()
     report.refined_lines = refined.spec.line_count()
     report.procedure_seconds = dict(refined.procedure_seconds)
 
-    with phases.phase("simulate-original"):
+    with tracer.span("simulate-original", category="phase"):
         Simulator(spec).run(
             inputs=dict(inputs),
             limits=limits,
             max_steps=max_steps,
             metrics=report.original_metrics,
         )
-    with phases.phase("simulate-refined"):
+    with tracer.span("simulate-refined", category="phase"):
         run = Simulator(refined.spec).run(
             inputs=dict(inputs),
             limits=limits,
@@ -197,7 +202,7 @@ def run_profile(
     report.simulated_time = run.time
 
     if verify:
-        with phases.phase("verify"):
+        with tracer.span("verify", category="phase"):
             outcome = check_equivalence(
                 refined, inputs=dict(inputs), limits=limits, max_steps=max_steps
             )
@@ -211,7 +216,7 @@ def run_profile(
         "Wall-clock seconds per pipeline phase of the last profile run.",
         ("phase",),
     )
-    for name, seconds in phases.as_dict().items():
+    for name, seconds in report.phase_seconds().items():
         phase_gauge.labels(name).set(seconds)
     report.telemetry = registry.snapshot()
     return report

@@ -14,9 +14,10 @@ Design points:
 * **zero-cost when detached** — pipeline code holds :data:`NULL_TRACER`
   by default, whose ``span`` returns a shared no-op span: no timestamps
   are taken, no objects allocated per call beyond the method dispatch;
-* **one timing system** — :class:`repro.sim.metrics.PhaseTimer` is an
-  adapter over a :class:`SpanTracer`, so ``repro profile`` and
-  ``repro trace`` share this substrate.
+* **one timing system** — ``repro profile`` times its phases as root
+  spans of category ``"phase"`` and reads them back with
+  :meth:`SpanTracer.aggregate`, so it and ``repro trace`` share this
+  substrate.
 """
 
 from __future__ import annotations
@@ -200,8 +201,8 @@ class SpanTracer:
     def aggregate(self, category: Optional[str] = None) -> Dict[str, float]:
         """Root-span name -> accumulated seconds, in first-entry order.
 
-        Re-entering a name accumulates into the same bucket (the
-        :class:`repro.sim.metrics.PhaseTimer` contract).  ``category``
+        Re-entering a name accumulates into the same bucket, which is
+        how ``repro profile`` reports per-phase seconds.  ``category``
         restricts to matching roots.
         """
         out: Dict[str, float] = {}

@@ -85,13 +85,22 @@ def _start(
 ) -> Dict[str, str]:
     """The working assignment a search moves: a copy of the seed's (so
     the caller's partition is never touched) or the round-robin start.
-    Round robin is balanced, so descent spends its moves reducing the
-    cut instead of fixing a lopsided load; it is validated once as a
-    :class:`Partition` (named ``auto``), so a move space the
+
+    A seed may key a composite and leave its leaves unkeyed (the
+    medical hand partitions do); the copy appends each such leaf, in
+    move-space order, on the component it already resolves to, so every
+    object the search can pick has a key and the seed's cost is
+    unchanged.  Round robin is balanced, so descent spends its moves
+    reducing the cut instead of fixing a lopsided load; it is validated
+    once as a :class:`Partition` (named ``auto``), so a move space the
     specification cannot partition fails with a
     :class:`PartitionError`."""
     if seed_partition:
-        return dict(seed_partition.assignment)
+        assignment = dict(seed_partition.assignment)
+        for obj in objects:
+            if obj not in assignment:
+                assignment[obj] = seed_partition.component_of_behavior(obj)
+        return assignment
     assignment = {
         obj: components[index % len(components)]
         for index, obj in enumerate(objects)

@@ -1,5 +1,5 @@
 """Discrete-event simulation: kernel, interpreter, many-stimulus batch
-runner, fault injection, metrics/tracing, equivalence checking."""
+runner, fault injection, metrics, equivalence checking."""
 
 from repro.sim.batch import BatchSimulator, LaneOutcome
 from repro.sim.eval import Env, ExprCompiler, Frame, evaluate, truthy
@@ -16,10 +16,7 @@ from repro.sim.kernel import (
 from repro.sim.metrics import (
     DEFAULT_BUS_SIGNAL_PATTERNS,
     ExecMetrics,
-    PhaseTimer,
     SimMetrics,
-    TraceRecord,
-    Tracer,
 )
 
 __all__ = [
@@ -45,8 +42,5 @@ __all__ = [
     "WaitDelay",
     "DEFAULT_BUS_SIGNAL_PATTERNS",
     "ExecMetrics",
-    "PhaseTimer",
     "SimMetrics",
-    "TraceRecord",
-    "Tracer",
 ]

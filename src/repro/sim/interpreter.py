@@ -344,7 +344,6 @@ class Simulator:
         injector=None,
         require_completion: bool = False,
         metrics=None,
-        tracer=None,
         observer=None,
     ) -> SimulationResult:
         """Execute the specification to quiescence.
@@ -356,20 +355,15 @@ class Simulator:
         ``limits`` bounds the run (see :class:`KernelLimits`;
         ``max_steps`` is a shorthand overriding ``limits.max_steps``);
         ``injector`` attaches a :class:`repro.sim.faults.FaultInjector`;
-        ``metrics`` / ``tracer`` attach a
-        :class:`repro.sim.metrics.SimMetrics` counter bag / a
-        :class:`repro.sim.metrics.Tracer` event recorder to the run's
-        kernel; ``observer`` attaches a signal-change observer such as
-        :class:`repro.obs.vcd.VCDWriter` (waveform export); with
-        ``require_completion=True`` a quiescent run whose
-        root process never finished raises a structured
+        ``metrics`` attaches a :class:`repro.sim.metrics.SimMetrics`
+        counter bag to the run's kernel; ``observer`` attaches a
+        signal-change observer such as :class:`repro.obs.vcd.VCDWriter`
+        (waveform export); with ``require_completion=True`` a quiescent
+        run whose root process never finished raises a structured
         :class:`repro.errors.DeadlockError` instead of returning an
         incomplete result.
         """
-        kernel = Kernel(
-            injector=injector, metrics=metrics, tracer=tracer,
-            observer=observer,
-        )
+        kernel = Kernel(injector=injector, metrics=metrics, observer=observer)
         self._kernel = kernel
         self._frames = {}
         self._current_behavior = ""

@@ -38,13 +38,14 @@ unused):
 * :class:`repro.sim.metrics.SimMetrics` — inline counters (process
   activations, delta cycles, signal updates, bus transactions, ...)
   attached via ``Kernel(metrics=...)``;
-* :class:`repro.sim.metrics.Tracer` — a structured recorder of the
-  scheduler event stream, attached via ``Kernel(tracer=...)``;
 * :class:`KernelLimits` — configurable budgets (total activations,
   delta cycles per timestep, wall-clock seconds); a breach raises
   :class:`SimulationLimitExceeded` naming the limit that tripped;
-* a ring buffer of the last scheduler events, attached to limit and
-  deadlock errors so a wedged protocol can be diagnosed post mortem;
+* a ring buffer of the last scheduler events (``run``/``delta``/
+  ``advance``/``fault``/``kill``), sized by ``trace_depth`` and rendered
+  by :meth:`Kernel.format_trace`; it is the kernel's one scheduler-event
+  record, attached to limit and deadlock errors so a wedged protocol
+  can be diagnosed post mortem;
 * a narrow fault-injection interface: an *injector* (see
   :mod:`repro.sim.faults`) may intercept every signal write
   (drop/delay/corrupt) and every process activation (stall/kill).
@@ -228,11 +229,10 @@ class Kernel:
     ``injector`` is an optional fault injector implementing the narrow
     interface of :class:`repro.sim.faults.FaultInjector`
     (``on_signal_write`` / ``on_activation``); ``trace_depth`` sizes the
-    diagnostic ring buffer of recent scheduler events; ``metrics``
-    attaches a :class:`repro.sim.metrics.SimMetrics` counter bag and
-    ``tracer`` a :class:`repro.sim.metrics.Tracer` event recorder —
-    both cost one ``is not None`` check per scheduler event when
-    absent.
+    ring buffer of recent scheduler events (see :meth:`format_trace`);
+    ``metrics`` attaches a :class:`repro.sim.metrics.SimMetrics`
+    counter bag, which costs one ``is not None`` check per scheduler
+    event when absent.
 
     ``observer`` taps the signal-change stream: it must provide
     ``on_register(name, initial)`` (called as signals are declared) and
@@ -247,7 +247,6 @@ class Kernel:
         injector=None,
         trace_depth: int = DEFAULT_TRACE_DEPTH,
         metrics=None,
-        tracer=None,
         observer=None,
     ):
         self.now: float = 0.0
@@ -270,7 +269,6 @@ class Kernel:
         self.steps: int = 0
         self.injector = injector
         self.metrics = metrics
-        self.tracer = tracer
         self.observer = observer
         #: ring buffer of (kind, detail, time) scheduler events
         self._trace: deque = deque(maxlen=max(1, trace_depth))
@@ -420,8 +418,6 @@ class Kernel:
 
     def _record(self, kind: str, detail) -> None:
         self._trace.append((kind, detail, self.now))
-        if self.tracer is not None:
-            self.tracer.record(kind, _format_detail(detail), self.now)
 
     def format_trace(self) -> List[str]:
         """The ring buffer rendered as short human-readable lines."""
@@ -497,7 +493,6 @@ class Kernel:
         started = _time.monotonic() if wall_clock is not None else 0.0
         metrics = self.metrics
         injector = self.injector
-        tracer = self.tracer
         observer = self.observer
         ready = self._ready
         trace_append = self._trace.append
@@ -556,8 +551,6 @@ class Kernel:
                     # inlined fault-free _activate
                     m_activations += 1
                     trace_append(("run", process.name, self.now))
-                    if tracer is not None:
-                        tracer.record("run", process.name, self.now)
                     try:
                         request = process._step()
                     except StopIteration:
@@ -642,10 +635,6 @@ class Kernel:
                             candidates = candidate_set
                 if changed is not None:
                     trace_append(("delta", changed, self.now))
-                    if tracer is not None:
-                        tracer.record(
-                            "delta", _format_detail(changed), self.now
-                        )
                     if observer is not None:
                         for name in changed:
                             observer.on_change(self.now, name, signals[name])

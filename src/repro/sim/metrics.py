@@ -1,44 +1,41 @@
-"""Simulation metrics and tracing — the observability layer.
+"""Simulation and execution counters — the observability layer.
 
 Runtime-validation work (Jain & Manolios's refinement-based framework,
 Kolano's real-time verification) treats an instrumented simulator as a
 *measurement instrument*: the counts of process activations, delta
 cycles and bus transactions are themselves evidence about a refined
 design, not just progress indicators.  This module supplies that
-instrumentation for the delta-cycle kernel:
+instrumentation:
 
 * :class:`SimMetrics` — a bag of plain integer counters the kernel
   increments inline (process activations, delta cycles, timesteps,
   signal writes/updates/changes, wakeups, bus transactions, injected
   faults).  Attaching one costs a single ``is not None`` check per
   scheduler event; a kernel without metrics pays nothing.
-* :class:`Tracer` — a structured event recorder fed from the kernel's
-  existing event stream (``run``/``delta``/``advance``/``fault``/
-  ``kill``), optionally bounded and kind-filtered, exportable as JSON.
-* :class:`PhaseTimer` — wall-clock accounting for the
-  refine → simulate → verify pipeline phases, used by ``repro profile``.
+* :class:`ExecMetrics` — the same kind of bag one layer up, counting
+  the execution engine's jobs and cache traffic.
 
-Attach via ``Kernel(metrics=..., tracer=...)`` or
-``Simulator.run(metrics=..., tracer=...)``.  One :class:`SimMetrics`
-may be shared across several runs — counters accumulate — or reset
-between runs with :meth:`SimMetrics.reset`.
+Both are :class:`Counters`: slotted structs whose ``FIELDS`` table
+drives one shared reset / serialise / render implementation.  The
+scheduler-event record is the kernel's own ring buffer
+(:meth:`repro.sim.kernel.Kernel.format_trace`); pipeline phases are
+timed by :class:`repro.obs.trace.SpanTracer`.
+
+Attach via ``Kernel(metrics=...)`` or ``Simulator.run(metrics=...)``.
+One :class:`SimMetrics` may be shared across several runs — counters
+accumulate — or reset between runs with :meth:`Counters.reset`.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from fnmatch import fnmatchcase
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
-
-from repro.obs.trace import SpanTracer
+from typing import Dict, Sequence, Tuple
 
 __all__ = [
     "DEFAULT_BUS_SIGNAL_PATTERNS",
+    "Counters",
     "ExecMetrics",
     "SimMetrics",
-    "TraceRecord",
-    "Tracer",
-    "PhaseTimer",
 ]
 
 #: Glob patterns identifying bus transfer strobes.  Refinement names
@@ -48,7 +45,67 @@ __all__ = [
 DEFAULT_BUS_SIGNAL_PATTERNS: Tuple[str, ...] = ("b*_start",)
 
 
-class SimMetrics:
+class Counters:
+    """A slotted bag of integer counters plus ``wall_seconds``.
+
+    Subclasses declare ``FIELDS`` — ``(attribute, human label)`` pairs
+    in display order — and slot those attributes; everything else
+    (zeroing, the JSON mapping, the aligned text rendering) is driven
+    by that table.
+    """
+
+    __slots__ = ("wall_seconds",)
+
+    #: (attribute, human label) in display order.
+    FIELDS: Tuple[Tuple[str, str], ...] = ()
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self) -> None:
+        """Zero every counter."""
+        for name, _ in self.FIELDS:
+            setattr(self, name, 0)
+        self.wall_seconds = 0.0
+
+    def as_dict(self) -> Dict[str, object]:
+        """All counters as a JSON-serialisable mapping."""
+        out: Dict[str, object] = {name: getattr(self, name) for name, _ in self.FIELDS}
+        out["wall_seconds"] = self.wall_seconds
+        return out
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]):
+        """Rebuild a counter bag from :meth:`as_dict` output.
+
+        The execution engine ships kernel counters between processes
+        (and through the on-disk result cache) as plain mappings;
+        unknown keys are ignored so old cache entries stay loadable.
+        """
+        counters = cls()
+        for name, _ in cls.FIELDS:
+            if name in data:
+                setattr(counters, name, data[name])
+        if "wall_seconds" in data:
+            counters.wall_seconds = float(data["wall_seconds"])
+        return counters
+
+    def describe(self) -> str:
+        """Counters as aligned ``label: value`` lines."""
+        width = max(len(label) for _, label in self.FIELDS)
+        lines = [
+            f"{label:<{width}}  {getattr(self, name)}"
+            for name, label in self.FIELDS
+        ]
+        lines.append(f"{'wall seconds':<{width}}  {self.wall_seconds:.6f}")
+        return "\n".join(lines)
+
+    def __repr__(self) -> str:
+        fields = " ".join(f"{name}={getattr(self, name)}" for name, _ in self.FIELDS)
+        return f"<{type(self).__name__} {fields}>"
+
+
+class SimMetrics(Counters):
     """Counters the kernel maintains while it schedules.
 
     All counters are plain ``int`` attributes (``wall_seconds`` is a
@@ -74,47 +131,30 @@ class SimMetrics:
     ================== =================================================
     """
 
-    __slots__ = (
-        "activations",
-        "delta_cycles",
-        "timesteps",
-        "max_delta_streak",
-        "signal_writes",
-        "signal_updates",
-        "signal_changes",
-        "wakeups",
-        "bus_transactions",
-        "faults",
-        "processes_spawned",
-        "processes_killed",
-        "wall_seconds",
-        "bus_patterns",
-        "_strobe_cache",
+    FIELDS = (
+        ("activations", "process activations"),
+        ("delta_cycles", "delta cycles"),
+        ("timesteps", "timesteps"),
+        ("max_delta_streak", "max delta cycles/timestep"),
+        ("signal_writes", "signal writes scheduled"),
+        ("signal_updates", "signal updates applied"),
+        ("signal_changes", "signal value changes"),
+        ("wakeups", "condition wakeups"),
+        ("bus_transactions", "bus transactions"),
+        ("faults", "faults injected"),
+        ("processes_spawned", "processes spawned"),
+        ("processes_killed", "processes killed"),
     )
+    __slots__ = tuple(name for name, _ in FIELDS) + ("bus_patterns", "_strobe_cache")
 
     def __init__(
         self, bus_patterns: Sequence[str] = DEFAULT_BUS_SIGNAL_PATTERNS
     ):
         self.bus_patterns = tuple(bus_patterns)
-        #: signal name -> bool, memoised glob matches (hot path)
+        #: signal name -> bool, memoised glob matches (hot path); it
+        #: survives :meth:`reset`
         self._strobe_cache: Dict[str, bool] = {}
-        self.reset()
-
-    def reset(self) -> None:
-        """Zero every counter (pattern match cache survives)."""
-        self.activations = 0
-        self.delta_cycles = 0
-        self.timesteps = 0
-        self.max_delta_streak = 0
-        self.signal_writes = 0
-        self.signal_updates = 0
-        self.signal_changes = 0
-        self.wakeups = 0
-        self.bus_transactions = 0
-        self.faults = 0
-        self.processes_spawned = 0
-        self.processes_killed = 0
-        self.wall_seconds = 0.0
+        super().__init__()
 
     # -- kernel-facing helpers ------------------------------------------------
 
@@ -135,54 +175,6 @@ class SimMetrics:
 
     # -- reporting ------------------------------------------------------------
 
-    #: (attribute, human label) in display order.
-    FIELDS: Tuple[Tuple[str, str], ...] = (
-        ("activations", "process activations"),
-        ("delta_cycles", "delta cycles"),
-        ("timesteps", "timesteps"),
-        ("max_delta_streak", "max delta cycles/timestep"),
-        ("signal_writes", "signal writes scheduled"),
-        ("signal_updates", "signal updates applied"),
-        ("signal_changes", "signal value changes"),
-        ("wakeups", "condition wakeups"),
-        ("bus_transactions", "bus transactions"),
-        ("faults", "faults injected"),
-        ("processes_spawned", "processes spawned"),
-        ("processes_killed", "processes killed"),
-    )
-
-    def as_dict(self) -> Dict[str, object]:
-        """All counters as a JSON-serialisable mapping."""
-        out: Dict[str, object] = {name: getattr(self, name) for name, _ in self.FIELDS}
-        out["wall_seconds"] = self.wall_seconds
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SimMetrics":
-        """Rebuild a counter bag from :meth:`as_dict` output.
-
-        The execution engine ships kernel counters between processes
-        (and through the on-disk result cache) as plain mappings;
-        unknown keys are ignored so old cache entries stay loadable.
-        """
-        metrics = cls()
-        for name, _ in cls.FIELDS:
-            if name in data:
-                setattr(metrics, name, data[name])
-        if "wall_seconds" in data:
-            metrics.wall_seconds = float(data["wall_seconds"])
-        return metrics
-
-    def describe(self) -> str:
-        """Counters as aligned ``label: value`` lines."""
-        width = max(len(label) for _, label in self.FIELDS)
-        lines = [
-            f"{label:<{width}}  {getattr(self, name)}"
-            for name, label in self.FIELDS
-        ]
-        lines.append(f"{'wall seconds':<{width}}  {self.wall_seconds:.6f}")
-        return "\n".join(lines)
-
     def publish(self, registry, **labels) -> None:
         """Bridge the counters into a telemetry registry.
 
@@ -198,24 +190,17 @@ class SimMetrics:
                 f"repro_sim_{name}_total", f"Kernel counter: {label}.", names
             ).labels(*values).inc(getattr(self, name))
 
-    def __repr__(self) -> str:
-        return (
-            f"<SimMetrics activations={self.activations} "
-            f"delta_cycles={self.delta_cycles} "
-            f"bus_transactions={self.bus_transactions}>"
-        )
 
-
-class ExecMetrics:
+class ExecMetrics(Counters):
     """Counters of the campaign execution engine (:mod:`repro.exec`).
 
-    Mirrors the :class:`SimMetrics` pattern one layer up: where
-    :class:`SimMetrics` counts scheduler events inside one simulation,
-    an :class:`ExecMetrics` counts *jobs* across a campaign grid — how
-    many were served from the content-addressed result cache, how many
-    were executed (and where), and how the executor degraded under
-    faults.  Attach one via ``ExecutionEngine(metrics=...)``; counters
-    accumulate across ``run()`` calls until :meth:`reset`.
+    Where :class:`SimMetrics` counts scheduler events inside one
+    simulation, an :class:`ExecMetrics` counts *jobs* across a
+    campaign grid — how many were served from the content-addressed
+    result cache, how many were executed (and where), and how the
+    executor degraded under faults.  Attach one via
+    ``ExecutionEngine(metrics=...)``; counters accumulate across
+    ``run()`` calls until :meth:`reset`.
 
     ================== =================================================
     counter             meaning
@@ -235,23 +220,7 @@ class ExecMetrics:
     ================== =================================================
     """
 
-    __slots__ = (
-        "jobs",
-        "cache_hits",
-        "cache_misses",
-        "cache_errors",
-        "cache_evictions",
-        "executed",
-        "failed",
-        "timeouts",
-        "cancelled",
-        "retries",
-        "degraded",
-        "wall_seconds",
-    )
-
-    #: (attribute, human label) in display order.
-    FIELDS: Tuple[Tuple[str, str], ...] = (
+    FIELDS = (
         ("jobs", "jobs submitted"),
         ("cache_hits", "cache hits"),
         ("cache_misses", "cache misses"),
@@ -264,151 +233,4 @@ class ExecMetrics:
         ("retries", "jobs retried"),
         ("degraded", "serial fallbacks"),
     )
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        for name, _ in self.FIELDS:
-            setattr(self, name, 0)
-        self.wall_seconds = 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        """All counters as a JSON-serialisable mapping."""
-        out: Dict[str, object] = {
-            name: getattr(self, name) for name, _ in self.FIELDS
-        }
-        out["wall_seconds"] = self.wall_seconds
-        return out
-
-    def describe(self) -> str:
-        """Counters as aligned ``label: value`` lines."""
-        width = max(len(label) for _, label in self.FIELDS)
-        lines = [
-            f"{label:<{width}}  {getattr(self, name)}"
-            for name, label in self.FIELDS
-        ]
-        lines.append(f"{'wall seconds':<{width}}  {self.wall_seconds:.6f}")
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return (
-            f"<ExecMetrics jobs={self.jobs} hits={self.cache_hits} "
-            f"executed={self.executed} failed={self.failed}>"
-        )
-
-
-class TraceRecord(NamedTuple):
-    """One structured scheduler event."""
-
-    time: float
-    kind: str
-    detail: str
-
-    def __str__(self) -> str:
-        return f"t={self.time:g} {self.kind}: {self.detail}"
-
-
-class Tracer:
-    """Records the kernel's event stream as structured records.
-
-    The kernel already keeps a short diagnostic ring buffer for error
-    reports; a :class:`Tracer` is the long-form counterpart for
-    analysis: every ``run`` / ``delta`` / ``advance`` / ``fault`` /
-    ``kill`` event (optionally filtered by ``kinds``) is appended as a
-    :class:`TraceRecord`, up to ``limit`` records (``None`` keeps
-    everything).  Zero-cost when not attached.
-    """
-
-    __slots__ = ("events", "limit", "kinds", "dropped")
-
-    def __init__(
-        self,
-        limit: Optional[int] = None,
-        kinds: Optional[Iterable[str]] = None,
-    ):
-        self.events: List[TraceRecord] = []
-        self.limit = limit
-        self.kinds = frozenset(kinds) if kinds is not None else None
-        #: events suppressed after ``limit`` filled up
-        self.dropped = 0
-
-    def record(self, kind: str, detail, time: float) -> None:
-        """Append one event (called by the kernel)."""
-        if self.kinds is not None and kind not in self.kinds:
-            return
-        if self.limit is not None and len(self.events) >= self.limit:
-            self.dropped += 1
-            return
-        self.events.append(TraceRecord(time, kind, str(detail)))
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def as_dicts(self) -> List[Dict[str, object]]:
-        """Events as JSON-serialisable mappings."""
-        return [
-            {"time": e.time, "kind": e.kind, "detail": e.detail}
-            for e in self.events
-        ]
-
-    def describe(self, last: Optional[int] = None) -> str:
-        """The (optionally last ``last``) events, one per line."""
-        events = self.events if last is None else self.events[-last:]
-        return "\n".join(str(e) for e in events)
-
-
-class PhaseTimer:
-    """Wall-clock accounting for named pipeline phases.
-
-    Used by ``repro profile`` to time the refine → simulate → verify
-    flow::
-
-        timer = PhaseTimer()
-        with timer.phase("refine"):
-            design = Refiner(...).run()
-
-    Re-entering a phase name accumulates into the same bucket; phase
-    order of first entry is preserved.
-
-    A PhaseTimer is an adapter over :class:`repro.obs.trace.SpanTracer`
-    — each phase is a span of category ``"phase"``, so anything traced
-    *inside* a phase (e.g. the Refiner's per-procedure spans when it is
-    handed the same ``tracer``) nests under it and the whole run can be
-    exported as Chrome trace-event JSON.  The phase accounting itself
-    only aggregates root phase spans, keeping the historical contract.
-    """
-
-    __slots__ = ("tracer",)
-
-    def __init__(self, tracer: Optional[SpanTracer] = None):
-        self.tracer = tracer if tracer is not None else SpanTracer()
-
-    @contextmanager
-    def phase(self, name: str):
-        with self.tracer.span(name, category="phase"):
-            yield self
-
-    def seconds(self, name: str) -> float:
-        return self.as_dict().get(name, 0.0)
-
-    @property
-    def total(self) -> float:
-        return sum(self.as_dict().values())
-
-    def as_dict(self) -> Dict[str, float]:
-        """Phase -> seconds, in first-entry order."""
-        return self.tracer.aggregate(category="phase")
-
-    def describe(self) -> str:
-        phases = self.as_dict()
-        if not phases:
-            return "no phases recorded"
-        width = max(len(name) for name in phases)
-        lines = [
-            f"{name:<{width}}  {seconds * 1e3:10.3f} ms"
-            for name, seconds in phases.items()
-        ]
-        lines.append(f"{'total':<{width}}  {self.total * 1e3:10.3f} ms")
-        return "\n".join(lines)
+    __slots__ = tuple(name for name, _ in FIELDS)

@@ -5,11 +5,10 @@ the medical hand partitions, must reproduce
 assignment order.
 
 The hand partitions key composites (``Acquire``, ``Compute``) and leave
-their leaves unkeyed; a search seeded from one raises as soon as it
-picks such a leaf, so those lines record the error type and message.
-The ``+leaves`` seeds keep the composite keys first and append a key for
-every unkeyed leaf (its resolved component), so the search runs to the
-end with composite keys in play.
+their leaves unkeyed; a search seeded from one completes the seed by
+appending each unkeyed leaf on the component it resolves to.  The
+``+leaves`` seeds do that completion by hand, so the two lines of each
+pair must agree.
 
 Refresh with ``pytest tests/test_partitioner_golden.py --update-golden``
 only when a search change is intended.
@@ -31,6 +30,7 @@ from repro.partition.auto import (
     greedy_partition,
     kl_partition,
 )
+from repro.partition.metrics import partition_cost
 from repro.partition.partition import Partition
 
 GOLDEN = Path(__file__).parent / "golden" / "partitioners.txt"
@@ -126,3 +126,22 @@ def test_partitioners_reproduce_golden(request):
         "partitioner output drifted from tests/golden/partitioners.txt; "
         "refresh with pytest --update-golden only if intentional"
     )
+
+
+def test_seeded_searches_never_worsen_the_hand_partitions():
+    catalog = explore_allocations()
+    workload = resolve_workload("medical")
+    spec = workload.spec()
+    graph = AccessGraph.from_specification(spec)
+    for design, seed in workload.designs(spec).items():
+        for alloc in ALLOCATIONS:
+            comps = list(catalog[alloc].components)
+            seed_cost = partition_cost(graph, seed, 0.35, len(comps))
+            for search in (kl_partition, annealed_partition):
+                result = search(spec, comps, graph=graph, seed_partition=seed)
+                assert isinstance(result, Partition), (design, alloc)
+                # a valid partition: every leaf resolves to a component
+                for leaf in spec.leaf_behaviors():
+                    assert result.component_of_behavior(leaf.name) in comps
+                cost = partition_cost(graph, result, 0.35, len(comps))
+                assert cost <= seed_cost, (design, alloc, search.__name__)

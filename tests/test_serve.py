@@ -44,6 +44,7 @@ def server(tmp_path):
             cache_dir=str(tmp_path / "cache"),
             chaos=True,
             breaker_cooldown=0.2,
+            flight_dir=str(tmp_path / "flight"),
         )
     ).start()
     try:
@@ -243,10 +244,10 @@ class TestDeadlines:
         assert response.status == 504
         assert response.error_kind() == "deadline"
 
-    def test_deadline_clamped_to_max(self):
+    def test_deadline_clamped_to_max(self, tmp_path):
         server = ReproServer(
             ServeConfig(port=0, workers=1, no_cache=True, max_deadline=0.3,
-                        chaos=True)
+                        chaos=True, flight_dir=str(tmp_path / "flight"))
         ).start()
         try:
             response = _client(server).submit(

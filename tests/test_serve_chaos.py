@@ -24,9 +24,12 @@ from repro.serve import ReproClient, ReproServer, ServeConfig
 pytestmark = pytest.mark.slow
 
 
-def _start(**overrides):
+def _start(tmp_path, **overrides):
+    # flight dumps go under the test's tmp dir, not the default
+    # benchmarks/output relative to the working directory
     options = dict(port=0, workers=1, queue_limit=1, no_cache=True,
-                   chaos=True, breaker_threshold=2, breaker_cooldown=0.3)
+                   chaos=True, breaker_threshold=2, breaker_cooldown=0.3,
+                   flight_dir=str(tmp_path / "flight"))
     options.update(overrides)
     return ReproServer(ServeConfig(**options)).start()
 
@@ -37,8 +40,8 @@ def _client(server, **kw):
 
 
 class TestWorkerCrash:
-    def test_sigkill_is_a_structured_500_and_service_continues(self):
-        server = _start()
+    def test_sigkill_is_a_structured_500_and_service_continues(self, tmp_path):
+        server = _start(tmp_path)
         try:
             client = _client(server)
             crashed = client.submit("chaos-crash", {"nonce": 0}, deadline=10)
@@ -54,8 +57,8 @@ class TestWorkerCrash:
         finally:
             server.close()
 
-    def test_spin_job_is_preempted_by_deadline(self):
-        server = _start()
+    def test_spin_job_is_preempted_by_deadline(self, tmp_path):
+        server = _start(tmp_path)
         try:
             client = _client(server)
             spun = client.submit("chaos-spin", {"nonce": 0}, deadline=0.3)
@@ -67,8 +70,8 @@ class TestWorkerCrash:
 
 
 class TestCircuitQuarantine:
-    def test_repeat_offender_is_circuit_broken(self):
-        server = _start(breaker_threshold=2, breaker_cooldown=30.0)
+    def test_repeat_offender_is_circuit_broken(self, tmp_path):
+        server = _start(tmp_path, breaker_threshold=2, breaker_cooldown=30.0)
         try:
             client = _client(server)
             for _ in range(2):
@@ -91,7 +94,7 @@ class TestCircuitQuarantine:
     def test_circuit_recovers_after_cooldown(self, tmp_path):
         trip = tmp_path / "trip"
         trip.write_text("x")
-        server = _start(breaker_threshold=1, breaker_cooldown=0.2)
+        server = _start(tmp_path, breaker_threshold=1, breaker_cooldown=0.2)
         try:
             client = _client(server)
             params = {"trip_file": str(trip), "nonce": 0}
@@ -109,8 +112,8 @@ class TestCircuitQuarantine:
 
 
 class TestBackpressure:
-    def test_queue_overflow_is_429_with_retry_after(self):
-        server = _start(workers=1, queue_limit=1)
+    def test_queue_overflow_is_429_with_retry_after(self, tmp_path):
+        server = _start(tmp_path, workers=1, queue_limit=1)
         try:
             stats_client = _client(server)
 
@@ -157,8 +160,8 @@ class TestBackpressure:
         finally:
             server.close()
 
-    def test_patient_client_rides_out_backpressure(self):
-        server = _start(workers=1, queue_limit=1)
+    def test_patient_client_rides_out_backpressure(self, tmp_path):
+        server = _start(tmp_path, workers=1, queue_limit=1)
         try:
             clients = [
                 ReproClient(port=server.port, retries=10, backoff_base=0.02,
@@ -185,8 +188,8 @@ class TestBackpressure:
 
 
 class TestDrain:
-    def test_drain_finishes_in_flight_and_refuses_new(self):
-        server = _start(workers=1, queue_limit=2, drain_grace=10.0)
+    def test_drain_finishes_in_flight_and_refuses_new(self, tmp_path):
+        server = _start(tmp_path, workers=1, queue_limit=2, drain_grace=10.0)
         try:
             client = _client(server)
             in_flight = {}
@@ -211,8 +214,8 @@ class TestDrain:
         finally:
             server.close()
 
-    def test_drain_is_idempotent_and_wait_returns_zero_when_idle(self):
-        server = _start()
+    def test_drain_is_idempotent_and_wait_returns_zero_when_idle(self, tmp_path):
+        server = _start(tmp_path)
         try:
             server.begin_drain("one")
             server.begin_drain("two")
@@ -224,7 +227,7 @@ class TestDrain:
 class TestCorruptCache:
     def test_corrupt_entry_degrades_to_correct_recompute(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        server = _start(no_cache=False, cache_dir=str(cache_dir))
+        server = _start(tmp_path, no_cache=False, cache_dir=str(cache_dir))
         try:
             client = _client(server)
             first = client.submit("chaos-sleep", {"seconds": 0.0, "nonce": 7},
@@ -249,7 +252,7 @@ class TestCorruptCache:
 
     def test_mislabelled_entry_is_never_served(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        server = _start(no_cache=False, cache_dir=str(cache_dir))
+        server = _start(tmp_path, no_cache=False, cache_dir=str(cache_dir))
         try:
             client = _client(server)
             first = client.submit("chaos-sleep", {"seconds": 0.0, "nonce": 8},
@@ -269,8 +272,8 @@ class TestCorruptCache:
 
 
 class TestServerNeverDies:
-    def test_mixed_hostile_load_leaves_server_healthy(self):
-        server = _start(workers=2, queue_limit=4, breaker_threshold=3)
+    def test_mixed_hostile_load_leaves_server_healthy(self, tmp_path):
+        server = _start(tmp_path, workers=2, queue_limit=4, breaker_threshold=3)
         try:
             outcomes = []
             lock = threading.Lock()

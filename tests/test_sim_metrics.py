@@ -1,12 +1,14 @@
-"""Tests for the observability layer: SimMetrics / Tracer / PhaseTimer,
-their kernel wiring, and the sensitivity-index wakeup edge cases."""
+"""Tests for the observability layer: SimMetrics, the kernel's
+scheduler-event ring, their kernel wiring, and the sensitivity-index
+wakeup edge cases."""
 
 import pytest
 
+from repro.obs.trace import SpanTracer
 from repro.sim import Simulator
 from repro.sim.faults import FaultInjector, FaultScenario
 from repro.sim.kernel import Kernel, WaitCondition, WaitDelay
-from repro.sim.metrics import PhaseTimer, SimMetrics, TraceRecord, Tracer
+from repro.sim.metrics import SimMetrics
 from repro.spec.builder import assign, leaf, spec
 from repro.spec.expr import var
 from repro.spec.types import int_type
@@ -203,9 +205,11 @@ class TestFaultMetrics:
         assert m.processes_killed == 1
 
 
-class TestTracer:
-    def run_traced(self, tracer):
-        k = Kernel(tracer=tracer)
+class TestKernelTrace:
+    """The kernel's ring buffer is the one scheduler-event record."""
+
+    def test_records_scheduler_events(self):
+        k = Kernel()
         k.register_signal("s", 0)
 
         def proc():
@@ -214,51 +218,50 @@ class TestTracer:
 
         k.spawn("p", proc())
         k.run()
-        return tracer
+        lines = k.format_trace()
+        assert lines[0] == "t=0 run: p"
+        assert "t=0 delta: s" in lines
+        assert "t=1 advance: 1" in lines
 
-    def test_records_scheduler_events(self):
-        tracer = self.run_traced(Tracer())
-        kinds = {event.kind for event in tracer.events}
-        assert {"run", "delta", "advance"} <= kinds
-        first = tracer.events[0]
-        assert isinstance(first, TraceRecord)
-        assert first.kind == "run" and first.detail == "p"
-        assert "t=" in str(first)
+    def test_records_fault_and_kill(self):
+        scenario = FaultScenario(
+            name="kill-p", kind="kill", target="p", expect="detect"
+        )
+        k = Kernel(injector=FaultInjector([scenario]))
 
-    def test_limit_and_dropped(self):
-        tracer = self.run_traced(Tracer(limit=2))
-        assert len(tracer) == 2
-        assert tracer.dropped > 0
+        def proc():
+            yield WaitDelay(1)
 
-    def test_kind_filter(self):
-        tracer = self.run_traced(Tracer(kinds=("delta",)))
-        assert {event.kind for event in tracer.events} == {"delta"}
-        assert tracer.as_dicts()[0]["detail"] == "s"
-
-    def test_describe_last(self):
-        tracer = self.run_traced(Tracer())
-        assert tracer.describe(last=1).count("\n") == 0
+        k.spawn("p", proc())
+        k.run()
+        lines = k.format_trace()
+        assert "t=0 fault: killed process p" in lines
+        assert "t=0 kill: p (fault injection)" in lines
 
 
 class TestPhaseTimer:
+    """Pipeline phase timing: root ``"phase"`` spans of a SpanTracer,
+    summed per name by ``aggregate(category="phase")``."""
+
     def test_accumulates_and_orders(self):
-        timer = PhaseTimer()
-        with timer.phase("b"):
+        tracer = SpanTracer()
+        with tracer.span("b", category="phase"):
             pass
-        with timer.phase("a"):
+        with tracer.span("a", category="phase"):
             pass
-        with timer.phase("b"):
+        with tracer.span("b", category="phase"):
             pass
-        assert list(timer.as_dict()) == ["b", "a"]
-        assert timer.seconds("b") >= 0.0
-        assert timer.total == pytest.approx(
-            timer.seconds("a") + timer.seconds("b")
+        phases = tracer.aggregate(category="phase")
+        assert list(phases) == ["b", "a"]
+        assert phases["b"] >= 0.0
+        assert phases["b"] == tracer.roots[0].seconds + tracer.roots[2].seconds
+        assert sum(phases.values()) == pytest.approx(
+            sum(root.seconds for root in tracer.roots)
         )
-        assert "total" in timer.describe()
 
     def test_empty(self):
-        assert PhaseTimer().describe() == "no phases recorded"
-        assert PhaseTimer().total == 0.0
+        assert SpanTracer().describe() == "no spans recorded"
+        assert SpanTracer().aggregate(category="phase") == {}
 
 
 class TestSimulatorIntegration:
