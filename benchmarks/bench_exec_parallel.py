@@ -59,7 +59,10 @@ def run_exec_parallel_benchmark() -> dict:
             cache=ResultCache(cache_root),
         )
         started = time.perf_counter()
-        parallel = run_robustness(engine=parallel_engine)
+        try:
+            parallel = run_robustness(engine=parallel_engine)
+        finally:
+            parallel_engine.release()  # reap the kept worker pool
         parallel_seconds = time.perf_counter() - started
 
         warm_engine = ExecutionEngine(cache=ResultCache(cache_root))

@@ -6,7 +6,8 @@ Boots the daemon as a subprocess and walks the service contract:
 
 1. readiness flips once the daemon is up (and back off when draining);
 2. a cold submission computes, a warm resubmission is a cache hit,
-   and both bodies are byte-identical;
+   and both bodies are byte-identical; the worker forked for the cold
+   submission stays alive between requests;
 3. a full admission queue yields 429 with both ``Retry-After``
    headers;
 4. a SIGKILLed worker is a structured 500 on that request only —
@@ -14,9 +15,9 @@ Boots the daemon as a subprocess and walks the service contract:
    file naming the crashing request ID;
 5. ``GET /metrics`` under the load above passes the in-repo
    exposition validator with non-zero latency-histogram counts;
-6. SIGTERM drains gracefully: in-flight work finishes, exit code 0 —
-   and the ``--journal`` file validates, carrying the crash request's
-   lifecycle.
+6. SIGTERM drains gracefully: in-flight work finishes, exit code 0,
+   every worker the daemon forked is gone — and the ``--journal``
+   file validates, carrying the crash request's lifecycle.
 
 Run from the repo root::
 
@@ -52,6 +53,34 @@ def check(condition: bool, message: str) -> None:
         print(f"FAIL: {message}", file=sys.stderr)
         raise SystemExit(1)
     print(f"  ok: {message}")
+
+
+def _stat(pid: int):
+    """The fields of ``/proc/<pid>/stat`` after the command name, or
+    ``None`` once the process is gone (exited and reaped, or a
+    zombie): [0] is the state, [1] the ppid, [19] the start time."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return None if fields[0] in "ZX" else fields
+
+
+def children(parent: int) -> set:
+    """``(pid, start time)`` of every running child of ``parent`` (the
+    start time tells a reused PID apart)."""
+    found = set()
+    for entry in os.listdir("/proc"):
+        fields = _stat(int(entry)) if entry.isdigit() else None
+        if fields is not None and int(fields[1]) == parent:
+            found.add((int(entry), fields[19]))
+    return found
+
+
+def running(pid: int, start: str) -> bool:
+    fields = _stat(pid)
+    return fields is not None and fields[19] == start
 
 
 def main() -> int:
@@ -97,6 +126,10 @@ def main() -> int:
             == json.dumps(warm.body, sort_keys=True),
             "cold and warm bodies are byte-identical",
         )
+        workers = children(proc.pid)
+        check(bool(workers),
+              f"the slot's worker stays alive between requests "
+              f"(pids {sorted(pid for pid, _ in workers)})")
 
         # 3. fill the worker, then the queue, then expect 429
         def occupy(nonce: int, seconds: float) -> None:
@@ -143,6 +176,7 @@ def main() -> int:
         alive = client.submit("chaos-sleep", {"seconds": 0.0, "nonce": 5},
                               deadline=10)
         check(alive.ok, "daemon kept serving after the worker crash")
+        workers |= children(proc.pid)  # the crashed worker's replacement
         dumps = [name for name in os.listdir(flight_dir)
                  if "smoke-crash-1" in name]
         check(bool(dumps),
@@ -195,6 +229,9 @@ def main() -> int:
               "in-flight request completed during the drain")
         proc.wait(timeout=30)
         check(proc.returncode == 0, "daemon exited 0 after the drain")
+        left = sorted(pid for pid, start in workers if running(pid, start))
+        check(not left, f"every recorded worker is gone after the drain "
+                        f"({len(workers)} recorded, running: {left})")
 
         # the journal file validates and carries the crash lifecycle
         records = read_journal(journal_path)

@@ -221,7 +221,8 @@ def _campaign_guard(engine, command: str):
     take one path: terminate the engine's pool workers, remove cache
     scratch files, print a partial-campaign note to stderr, and let
     :func:`main` exit 130 — never a raw traceback, never an orphaned
-    worker or ``.tmp-*`` file.
+    worker or ``.tmp-*`` file.  A campaign that completes releases
+    its workers too, so an in-process ``main()`` call leaves none.
     """
 
     def _terminate(signum, frame):  # noqa: ARG001 — signal contract
@@ -244,6 +245,7 @@ def _campaign_guard(engine, command: str):
         )
         raise
     finally:
+        engine.release()
         engine.journal.close()
         if previous is not None:
             signal.signal(signal.SIGTERM, previous)

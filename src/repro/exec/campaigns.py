@@ -58,6 +58,7 @@ from typing import Callable, Dict, List, Optional
 __all__ = [
     "register",
     "get_task",
+    "registry_generation",
     "task_names",
     "allocation_to_params",
     "allocation_from_params",
@@ -69,16 +70,26 @@ __all__ = [
 ]
 
 _TASKS: Dict[str, Callable[[Dict[str, object]], Dict[str, object]]] = {}
+#: bumped on every registration; a process pool forked at an older
+#: generation lacks the newer tasks and is re-forked before its next run
+_GENERATION = 0
 
 
 def register(name: str):
     """Decorator: expose a task function to the engine under ``name``."""
 
     def wrap(fn):
+        global _GENERATION
         _TASKS[name] = fn
+        _GENERATION += 1
         return fn
 
     return wrap
+
+
+def registry_generation() -> int:
+    """How many registrations the task registry has seen so far."""
+    return _GENERATION
 
 
 def get_task(name: str):

@@ -235,13 +235,20 @@ class ExecutionEngine:
                 raise  # genuine TypeError from inside the executor
             return self.executor.run(items)
 
-    def abort(self) -> None:
-        """Best-effort cleanup after an interrupt: tear down any live
-        worker pools and remove half-written cache temp files.  The
-        campaign CLIs call this on SIGINT/SIGTERM before exiting."""
+    def release(self) -> None:
+        """Kill and reap the executor's worker processes, if it keeps
+        any (the process executor's pool).  The engine stays usable;
+        a later run forks fresh workers.  The campaign CLIs and the
+        serve daemon call this when they are done."""
         terminate = getattr(self.executor, "terminate", None)
         if callable(terminate):
             terminate()
+
+    def abort(self) -> None:
+        """Best-effort cleanup after an interrupt: :meth:`release` the
+        workers and remove half-written cache temp files.  The
+        campaign CLIs call this on SIGINT/SIGTERM before exiting."""
+        self.release()
         if self.cache is not None:
             self.cache.remove_temp_files()
 

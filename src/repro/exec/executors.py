@@ -14,7 +14,7 @@ into a structured error so campaign reports stay deterministic:
 ``timeout``
     The job exceeded the per-job wall-clock budget.  The worker that
     ran it is poisoned (it may still be computing), so the process
-    pool is recycled before the remaining jobs continue.
+    pool is replaced before the remaining jobs continue.
 ``crash``
     A worker process died mid-job (killed, segfaulted, OOMed).  The
     process executor *degrades gracefully*: the in-flight and
@@ -27,9 +27,18 @@ into a structured error so campaign reports stay deterministic:
 Both executors accept per-call overrides — ``run(items, timeout=...,
 cancel=...)`` — which is how the serving layer (:mod:`repro.serve`)
 propagates one request's deadline into exactly that request's jobs
-without touching the executor's configured default, and
-:meth:`ProcessExecutor.terminate` tears down any live pool, which is
-what the campaign CLIs call on SIGINT/SIGTERM.
+without touching the executor's configured default.
+
+:class:`ProcessExecutor` forks its pool on the first ``run`` and keeps
+it for later runs, so a job costs one queue round-trip rather than a
+fork.  The kept pool is replaced by a fresh one only when a job times
+out (the worker is poisoned), a worker dies mid-job (the pool is
+broken), a worker died while idle (detected before the next submit,
+so no job is charged with it), or a task was registered after the
+fork (the workers would not know it).  :meth:`ProcessExecutor.terminate`
+kills the pool and reaps its workers; every pool owner calls it when
+done (the campaign CLIs also on SIGINT/SIGTERM, the serve daemon on
+close).
 """
 
 from __future__ import annotations
@@ -135,7 +144,9 @@ class ProcessExecutor:
         On a worker crash, recompute the unfinished jobs serially in
         the parent instead of raising (default on).
 
-    Instances are reusable; ``degraded``/``timeouts``/``restarts``
+    The pool is forked on the first run and kept across runs (see the
+    module docstring for what replaces it); call :meth:`terminate` to
+    release its workers.  ``degraded``/``timeouts``/``restarts``
     accumulate over runs for the engine's metrics.
     """
 
@@ -164,8 +175,11 @@ class ProcessExecutor:
         self.timeouts = 0
         self.retries = 0
         self.restarts = 0
-        #: pools currently executing (terminate() reaps them)
-        self._live_pools: set = set()
+        #: the kept pool and the task-registry generation it was forked
+        #: at, both guarded by the lock (terminate() may come from
+        #: another thread)
+        self._pool = None
+        self._pool_generation = -1
         self._pool_lock = threading.Lock()
 
     # -- pool plumbing -------------------------------------------------------
@@ -175,7 +189,8 @@ class ProcessExecutor:
             return multiprocessing.get_context(self._mp_context)
         try:
             # fork keeps worker start-up to milliseconds and inherits
-            # the task registry (tests register ad-hoc tasks)
+            # the task registry as it stands at the fork (tests
+            # register ad-hoc tasks; a later one re-forks the pool)
             return multiprocessing.get_context("fork")
         except ValueError:
             return multiprocessing.get_context()
@@ -187,28 +202,77 @@ class ProcessExecutor:
             max_workers=self.workers, mp_context=self._context()
         )
 
+    def _acquire_pool(self):
+        """The kept pool, replaced first if it broke, a worker died
+        while idle, or a task was registered since it forked."""
+        from repro.exec.campaigns import registry_generation
+
+        generation = registry_generation()
+        with self._pool_lock:
+            stale = self._pool
+            if (stale is not None and self._pool_generation == generation
+                    and self._workers_alive(stale)):
+                return stale
+            # the pool forks its workers lazily, at the first submit
+            pool = self._pool = self._new_pool()
+            self._pool_generation = generation
+        if stale is not None:
+            self._kill_pool(stale)
+        return pool
+
+    def _discard(self, pool) -> None:
+        """Kill ``pool`` and stop keeping it (if it is still kept)."""
+        with self._pool_lock:
+            if self._pool is pool:
+                self._pool = None
+        self._kill_pool(pool)
+
+    @staticmethod
+    def _workers_alive(pool) -> bool:
+        # _broken and _processes are internal, but a worker that died
+        # while idle must be noticed before a job is submitted to it,
+        # or that job would be reported as a crash
+        from multiprocessing.connection import wait
+
+        if getattr(pool, "_broken", False):
+            return False
+        sentinels = [p.sentinel for p in (pool._processes or {}).values()]
+        return not wait(sentinels, timeout=0)
+
     @staticmethod
     def _kill_pool(pool) -> None:
-        """Tear a pool down *now*, stuck workers included."""
-        # _processes is internal, but it is the only way to reap a
-        # worker that is still executing an abandoned (timed-out) job;
-        # shutdown() alone would block on it.
-        try:
-            for process in list(getattr(pool, "_processes", {}).values()):
-                process.terminate()
-        except Exception:
-            pass
+        """Tear a pool down *now*, busy workers included, and wait
+        until its workers are reaped (so no zombie is left and their
+        CPU time is accounted to this process)."""
+        # _processes and _executor_manager_thread are internal, but
+        # they are the only way to reap a worker that is still
+        # executing an abandoned (timed-out) job; shutdown() alone
+        # would block on it.  SIGKILL, not SIGTERM: a forked worker
+        # inherits the parent's SIGTERM handler.
+        workers = list((getattr(pool, "_processes", None) or {}).values())
+        manager = getattr(pool, "_executor_manager_thread", None)
+        for process in workers:
+            try:
+                process.kill()
+            except (OSError, ValueError):  # already gone / closed
+                pass
         pool.shutdown(wait=False, cancel_futures=True)
+        if manager is not None:
+            # the manager thread joins the dead workers and exits;
+            # joining it, not them, keeps two threads from racing to
+            # reap one child (the loser would see it as still alive)
+            manager.join(timeout=5.0)
 
     def terminate(self) -> None:
-        """Kill every live pool *now* (SIGINT/SIGTERM cleanup path).
+        """Kill the kept pool *now* and reap its workers.
 
         Safe to call from a signal handler's aftermath or another
         thread; a run interrupted this way raises out of ``run`` as
-        usual, but no worker process is left behind."""
+        usual, but no worker process is left behind.  The executor
+        stays usable: the next run forks a fresh pool."""
         with self._pool_lock:
-            pools = list(self._live_pools)
-        for pool in pools:
+            pool, self._pool = self._pool, None
+        if pool is not None:
             self._kill_pool(pool)
 
     # -- execution -----------------------------------------------------------
@@ -248,14 +312,13 @@ class ProcessExecutor:
         timeout: Optional[float],
         cancel: Optional[threading.Event] = None,
     ) -> List[Tuple[List[int], List[Item]]]:
-        """Submit every shard, collect in order; returns shards that
-        must be resubmitted (after a timeout recycled the pool)."""
+        """Submit every shard to the kept pool, collect in order;
+        returns shards that must be resubmitted (after a timeout
+        replaced the pool)."""
         from concurrent.futures import BrokenExecutor
         from concurrent.futures import TimeoutError as FutureTimeout
 
-        pool = self._new_pool()
-        with self._pool_lock:
-            self._live_pools.add(pool)
+        pool = self._acquire_pool()
         pool_dead = False
         try:
             futures = [
@@ -290,13 +353,13 @@ class ProcessExecutor:
                             "seconds": budget or 0.0,
                         }
                     # the worker is still grinding on the abandoned job —
-                    # recycle the pool so the rest get clean workers
-                    self._kill_pool(pool)
+                    # replace the pool so the rest get clean workers
+                    self._discard(pool)
                     self.restarts += 1
                     pool_dead = True
                 except (BrokenExecutor, EnvironmentError) as exc:
                     crashed.append((indices, shard))
-                    self._kill_pool(pool)
+                    self._discard(pool)
                     pool_dead = True
                     if not self.serial_fallback:
                         for i in indices:
@@ -304,16 +367,11 @@ class ProcessExecutor:
                                 "error": _structured_error("crash", exc),
                                 "seconds": 0.0,
                             }
-            if not pool_dead:
-                pool.shutdown(wait=True)
         except BaseException:
             # interrupted (KeyboardInterrupt/SIGTERM): never leave
             # worker processes grinding behind the raise
-            self._kill_pool(pool)
+            self._discard(pool)
             raise
-        finally:
-            with self._pool_lock:
-                self._live_pools.discard(pool)
         if crashed and self.serial_fallback:
             # graceful degradation: a worker died mid-job; recompute the
             # in-flight shard and everything still queued in-process

@@ -13,9 +13,13 @@ Robustness is the headline:
 
 * **worker isolation** — each of the ``workers`` slots owns a
   single-worker :class:`repro.exec.executors.ProcessExecutor` with
-  serial fallback *off*: a job that SIGKILLs its worker produces a
-  structured 500 on that request only and is never re-run in the
-  server process;
+  serial fallback *off*.  The slot's worker is forked on its first
+  computed request and kept for the next ones; it is replaced after a
+  crash or a deadline preemption, when it died while idle (the next
+  request then runs normally), or when a task was registered since
+  the fork, and it is killed and reaped on :meth:`ReproServer.close`.
+  A job that SIGKILLs its worker produces a structured 500 on that
+  request only and is never re-run in the server process;
 * **deadlines** — a request's ``deadline`` (seconds) is decremented
   through queueing and propagated into the per-job execution timeout;
   exhaustion anywhere yields a structured 504;
@@ -475,9 +479,7 @@ class ReproServer:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
         for slot in self._all_slots:
-            terminate = getattr(slot.engine.executor, "terminate", None)
-            if callable(terminate):
-                terminate()
+            slot.engine.release()
         if self.cache is not None:
             self.cache.remove_temp_files()
         self.journal.emit("server-closed")
