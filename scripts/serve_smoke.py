@@ -15,9 +15,12 @@ Boots the daemon as a subprocess and walks the service contract:
    file naming the crashing request ID;
 5. ``GET /metrics`` under the load above passes the in-repo
    exposition validator with non-zero latency-histogram counts;
-6. SIGTERM drains gracefully: in-flight work finishes, exit code 0,
-   every worker the daemon forked is gone — and the ``--journal``
-   file validates, carrying the crash request's lifecycle.
+6. SIGTERM drains gracefully, even with an idle kept-alive client
+   connection held open: in-flight work finishes, exit code 0 within
+   the drain grace, the listener is closed, the held connection reads
+   EOF (or a reset), every worker the daemon forked is gone — and the
+   ``--journal`` file validates, carrying the crash request's
+   lifecycle.
 
 Run from the repo root::
 
@@ -28,11 +31,13 @@ Exits non-zero on the first violated expectation.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
 import shutil
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -46,6 +51,9 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.obs.events import read_journal, validate_journal  # noqa: E402
 from repro.obs.metrics import parse_exposition, validate_exposition  # noqa: E402
 from repro.serve import ReproClient  # noqa: E402
+
+#: the daemon's default ``--drain-grace`` (seconds)
+DRAIN_GRACE = 30.0
 
 
 def check(condition: bool, message: str) -> None:
@@ -81,6 +89,22 @@ def children(parent: int) -> set:
 def running(pid: int, start: str) -> bool:
     fields = _stat(pid)
     return fields is not None and fields[19] == start
+
+
+def closed_by_peer(connection: http.client.HTTPConnection) -> bool:
+    """True once the server end of ``connection`` is closed."""
+    try:
+        return connection.sock.recv(1) == b""
+    except ConnectionResetError:
+        return True
+
+
+def refused(port: int) -> bool:
+    try:
+        socket.create_connection(("127.0.0.1", port), timeout=2.0).close()
+    except OSError:
+        return True
+    return False
 
 
 def main() -> int:
@@ -209,7 +233,14 @@ def main() -> int:
             if labels.get("reason") == "crash"),
             "flight-dump counter counted the crash dump")
 
-        # 6. SIGTERM drains: readiness off, in-flight completes, exit 0
+        # 6. SIGTERM drains: readiness off, in-flight completes, exit 0,
+        #    also with an idle kept-alive connection held open
+        held = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        held.request("GET", "/healthz")
+        reply = held.getresponse()
+        reply.read()
+        check(reply.status == 200 and not reply.will_close,
+              "a kept-alive connection sits idle after one request")
         in_flight: dict = {}
 
         def slow() -> None:
@@ -222,13 +253,21 @@ def main() -> int:
         poll_until(lambda: client.stats()["server"]["in_flight"] >= 1,
                    "drainee request went in flight")
         proc.send_signal(signal.SIGTERM)
+        signalled = time.monotonic()
         poll_until(lambda: not client.ready(),
                    "readiness flipped off on SIGTERM")
         drainee.join()
         check(in_flight["response"].ok,
               "in-flight request completed during the drain")
-        proc.wait(timeout=30)
+        proc.wait(timeout=DRAIN_GRACE)
+        drained_in = time.monotonic() - signalled
         check(proc.returncode == 0, "daemon exited 0 after the drain")
+        check(drained_in < DRAIN_GRACE,
+              f"the drain finished within its grace ({drained_in:.1f} s)")
+        check(refused(port), "the listener is closed")
+        check(closed_by_peer(held),
+              "the held idle connection reads EOF or a reset")
+        held.close()
         left = sorted(pid for pid, start in workers if running(pid, start))
         check(not left, f"every recorded worker is gone after the drain "
                         f"({len(workers)} recorded, running: {left})")

@@ -20,6 +20,15 @@ Design points:
   oldest entries (by mtime, name-tiebroken) are evicted *down to
   exactly* ``capacity``: eviction never drops the population below the
   configured floor;
+* **constant-time puts** — the cache keeps an entry count under a
+  lock (every serve slot's thread shares one cache).  The directory is
+  scanned (walked and every entry ``stat``-ed) on the first put and
+  afterwards only when the count exceeds ``capacity``, so a put below
+  capacity costs one file write.  The scan evicts as above and resets
+  the count to the entries left, which also takes in what other
+  writers (another instance, another process) added to the same root.
+  An overwrite or a rejected corrupt entry leaves the count high,
+  which only brings the next scan forward;
 * **pass-through degradation** — an unwritable cache directory
   (read-only filesystem, permissions, a file squatting on the path)
   turns ``put`` into a warned-once no-op instead of failing the
@@ -33,6 +42,7 @@ import json
 import os
 import sys
 import tempfile
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -86,6 +96,14 @@ class ResultCache:
     stats: CacheStats = field(default_factory=CacheStats)
     #: set once ``put`` hits an unwritable directory; further puts no-op
     read_only: bool = field(default=False, compare=False)
+    #: entries on disk as of the last scan plus puts since (``None``
+    #: until the first put scans the directory)
+    _count: Optional[int] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.capacity < 1:
@@ -156,7 +174,7 @@ class ResultCache:
         salt: Optional[str] = None,
     ) -> None:
         """Store ``payload`` under ``key`` (atomic), then enforce the
-        capacity bound.
+        capacity bound (see the module docstring for when that scans).
 
         On an unwritable cache directory this *degrades to
         pass-through* instead of raising mid-campaign: the first
@@ -200,7 +218,11 @@ class ResultCache:
                 self._discard(tmp)
             raise
         self.stats.puts += 1
-        self._enforce_capacity()
+        with self._lock:
+            if self._count is not None:
+                self._count += 1
+            if self._count is None or self._count > self.capacity:
+                self._enforce_capacity()
 
     # -- eviction ------------------------------------------------------------
 
@@ -218,11 +240,14 @@ class ResultCache:
         return aged
 
     def _enforce_capacity(self) -> None:
+        """Scan the directory and evict the oldest entries down to
+        exactly ``capacity``; the entries left become the count."""
         aged = self._aged_entries()
-        excess = len(aged) - self.capacity
-        for mtime, key, path in aged[: max(excess, 0)]:
+        excess = max(len(aged) - self.capacity, 0)
+        for mtime, key, path in aged[:excess]:
             self._discard(path)
             self.stats.evictions += 1
+        self._count = len(aged) - excess
 
     def _discard(self, path: str) -> None:
         try:
@@ -246,6 +271,8 @@ class ResultCache:
 
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""
+        with self._lock:
+            self._count = None
         removed = 0
         for key in self.entries():
             self._discard(self._path(key))

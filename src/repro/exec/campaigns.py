@@ -53,6 +53,7 @@ naming the variant that produced them (``walker`` / ``compiled`` /
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, List, Optional
 
 __all__ = [
@@ -108,21 +109,21 @@ def task_names() -> List[str]:
 
 # -- parameter encodings -----------------------------------------------------
 
-_SPEC_MEMO: Dict[int, object] = {}
+#: specs kept by :func:`_spec_from_text` per process
+SPEC_MEMO_SIZE = 32
 
 
+@functools.lru_cache(maxsize=SPEC_MEMO_SIZE)
 def _spec_from_text(text: str):
-    """Parse + validate ``text``, memoised per worker process (grids
-    repeat the same specification across every job)."""
-    key = hash(text)
-    spec = _SPEC_MEMO.get(key)
-    if spec is None:
-        from repro.lang.parser import parse
+    """Parse + validate ``text``, memoised per process: the most
+    recently used :data:`SPEC_MEMO_SIZE` specs, keyed by their full
+    text.  A kept worker serves interleaved grids and daemon requests,
+    so it sees many specs; keying by the text itself means two texts
+    never share an entry, even when their hashes collide."""
+    from repro.lang.parser import parse
 
-        spec = parse(text)
-        spec.validate()
-        _SPEC_MEMO.clear()  # grids share one spec; keep the memo tiny
-        _SPEC_MEMO[key] = spec
+    spec = parse(text)
+    spec.validate()
     return spec
 
 

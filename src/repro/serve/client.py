@@ -12,6 +12,15 @@ immediately; retrying a deterministic failure would only add load.
 All randomness flows from an injectable seeded ``random.Random`` so a
 fleet of clients (see :mod:`repro.serve.loadgen`) behaves reproducibly.
 
+Each client keeps one HTTP/1.1 connection per calling thread and
+reuses it for every attempt, so a request pays for its job rather than
+a TCP handshake and a fresh server handler thread.  A kept connection
+the daemon closed while it sat idle (its keep-alive timeout, or a
+drain) fails before any status line arrives; that request is resent
+at once on a new connection.  The resend is not an attempt: it neither
+backs off nor journals a second ``client-send``.  Every other failure
+drops the connection and takes the ordinary retry path.
+
 Every logical request carries a correlation ID: the client mints one
 (:func:`repro.obs.events.new_request_id`) unless the caller supplies
 its own, sends it as ``X-Repro-Request-Id`` on every attempt (retries
@@ -29,6 +38,7 @@ import http.client
 import json
 import random
 import socket
+import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -38,6 +48,11 @@ __all__ = ["ClientError", "ReproClient", "Response"]
 
 #: HTTP statuses worth retrying (the server said "later", not "no").
 RETRYABLE_STATUS = frozenset({429, 503})
+
+#: How a kept connection fails when the server closed it while idle:
+#: before any status line arrives.  ``RemoteDisconnected`` is a
+#: ``ConnectionResetError``.
+_STALE_CONNECTION = (BrokenPipeError, ConnectionResetError)
 
 
 class ClientError(Exception):
@@ -94,8 +109,10 @@ class Response:
 
 
 class ReproClient:
-    """Talks to one daemon.  Not thread-safe; give each client thread
-    its own instance (and its own seeded ``rng``)."""
+    """Talks to one daemon over one kept connection per calling thread.
+    Sharing an instance across threads is safe for the transport, but
+    the threads then share one ``rng``; give each client thread its own
+    instance for a reproducible fleet."""
 
     def __init__(
         self,
@@ -122,6 +139,7 @@ class ReproClient:
         #: an :class:`repro.obs.events.EventJournal` receiving
         #: ``client-send``/``client-final`` records (default: no-op)
         self.journal = journal if journal is not None else NULL_JOURNAL
+        self._local = threading.local()
 
     # -- transport -----------------------------------------------------------
 
@@ -132,25 +150,46 @@ class ReproClient:
         body: Optional[bytes],
         request_id: str = "",
     ) -> Tuple[int, Dict[str, str], Dict[str, object]]:
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout
+            )
+        headers = {"Content-Type": "application/json"} if body else {}
+        if request_id:
+            headers["X-Repro-Request-Id"] = request_id
         try:
-            headers = {"Content-Type": "application/json"} if body else {}
-            if request_id:
-                headers["X-Repro-Request-Id"] = request_id
-            connection.request(method, path, body=body, headers=headers)
-            raw = connection.getresponse()
-            data = raw.read()
-            header_map = {k.lower(): v for k, v in raw.getheaders()}
+            reused = connection.sock is not None
             try:
-                parsed = json.loads(data) if data else {}
-            except ValueError:
-                parsed = {"raw": data.decode(errors="replace")}
-            if not isinstance(parsed, dict):
-                parsed = {"value": parsed}
-            return raw.status, header_map, parsed
-        finally:
+                connection.request(method, path, body=body, headers=headers)
+                raw = connection.getresponse()
+            except _STALE_CONNECTION:
+                if not reused:
+                    raise
+                # the daemon closed the idle connection: resend once on
+                # a fresh one (``request`` reopens a closed connection)
+                connection.close()
+                connection.request(method, path, body=body, headers=headers)
+                raw = connection.getresponse()
+            data = raw.read()
+        except BaseException:
+            # a half-used connection cannot carry the next request
+            connection.close()
+            raise
+        header_map = {k.lower(): v for k, v in raw.getheaders()}
+        try:
+            parsed = json.loads(data) if data else {}
+        except ValueError:
+            parsed = {"raw": data.decode(errors="replace")}
+        if not isinstance(parsed, dict):
+            parsed = {"value": parsed}
+        return raw.status, header_map, parsed
+
+    def close(self) -> None:
+        """Close the calling thread's kept connection (the next request
+        opens a new one)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
             connection.close()
 
     def _backoff(

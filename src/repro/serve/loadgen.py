@@ -172,6 +172,7 @@ def _client_worker(
                     )
         else:
             log.outcomes.append(response.error_kind() or f"http-{response.status}")
+    client.close()
 
 
 def _verify_locally(

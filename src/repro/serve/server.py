@@ -32,7 +32,16 @@ Robustness is the headline:
   the pool;
 * **graceful drain** — SIGTERM/SIGINT stop admission (503
   ``draining``, readiness flips), let in-flight requests finish,
-  flush cache scratch files, and exit 0.
+  flush cache scratch files, and exit 0.  Responses sent while
+  draining carry ``Connection: close``, and closing the daemon shuts
+  down every kept-alive client connection, so no handler thread
+  outlives it.
+
+Connections are HTTP/1.1 keep-alive: one handler thread serves a
+client's consecutive requests, with Nagle's algorithm off (a response
+is written as a header and a body, and Nagle would hold the body back
+for the client's delayed ACK).  A connection idle for
+``_Handler.timeout`` seconds is closed by the daemon.
 
 Telemetry is unified (see ``docs/OBSERVABILITY.md``): every request
 carries a correlation ID — the client's ``X-Repro-Request-Id`` header
@@ -67,6 +76,7 @@ import json
 import math
 import queue
 import re
+import socket
 import sys
 import threading
 import time
@@ -301,6 +311,32 @@ class _HTTPServer(ThreadingHTTPServer):
     block_on_close = False
     repro: "ReproServer"
 
+    def __init__(self, *args, **kwargs):
+        self._open: set = set()  # accepted connections not yet shut down
+        self._open_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """Shut down every open client connection: a handler thread
+        waiting on an idle kept-alive connection reads EOF and ends."""
+        with self._open_lock:
+            open_now = list(self._open)
+        for request in open_now:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+
 
 class ReproServer:
     """The daemon: construct, :meth:`start`, then :meth:`wait`.
@@ -476,6 +512,7 @@ class ReproServer:
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
+            self._httpd.close_connections()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
         for slot in self._all_slots:
@@ -906,6 +943,11 @@ class ReproServer:
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # a response is two writes; see the module docstring
+    disable_nagle_algorithm = True
+    #: seconds a kept-alive connection may sit idle before the daemon
+    #: closes it (the client resends on a fresh connection)
+    timeout = 10.0
 
     #: request body size cap (a specification is a few hundred KB at
     #: the very most; anything larger is a client bug or abuse)
@@ -961,6 +1003,9 @@ class _Handler(BaseHTTPRequestHandler):
         rid = self._request_id()
         if rid and "X-Repro-Request-Id" not in headers:
             self.send_header("X-Repro-Request-Id", rid)
+        if self.rs._draining or self.close_connection:
+            # send_header also marks this connection to close
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 
@@ -970,6 +1015,8 @@ class _Handler(BaseHTTPRequestHandler):
         except BrokenPipeError:
             pass  # client went away; nothing to answer
         except Exception as exc:  # noqa: BLE001 — a 500, never a dead thread
+            # the request may be half read: do not reuse the connection
+            self.close_connection = True
             try:
                 self._send(
                     500,
@@ -1047,9 +1094,17 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post(self) -> None:
         path = self.path.split("?", 1)[0].rstrip("/")
+        length = int(self.headers.get("Content-Length") or 0)
+        if 0 <= length <= self.MAX_BODY:
+            # read every body, routed or not, so a kept connection
+            # stays in step with the client's next request
+            raw = self.rfile.read(length)
+        else:
+            # an unread body would be parsed as the next request
+            self.close_connection = True
+            raw = b""
         if path == "/v1/jobs":
-            length = int(self.headers.get("Content-Length") or 0)
-            if length <= 0 or length > self.MAX_BODY:
+            if not raw:
                 self._send(
                     400,
                     {"error": {"kind": "bad-request",
@@ -1057,7 +1112,6 @@ class _Handler(BaseHTTPRequestHandler):
                                           f"(at most {self.MAX_BODY} bytes)"}},
                 )
                 return
-            raw = self.rfile.read(length)
             try:
                 data = json.loads(raw)
             except ValueError as exc:

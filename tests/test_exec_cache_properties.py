@@ -10,7 +10,10 @@ The invariants under test:
   partition assignment (including its order), model, protocol, seed
   and the code-version salt;
 * eviction trims the population to exactly ``capacity`` — never below
-  it (the capacity floor).
+  it (the capacity floor);
+* a put scans the directory only on the cache's first put and when its
+  entry count exceeds ``capacity``, and that scan also settles what
+  other writers added.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -164,3 +167,43 @@ class TestEvictionFloor:
                 os.utime(cache._path(key), ns=(i * 10**9, i * 10**9))
                 cache._enforce_capacity()
             assert set(cache.entries()) == set(keys[-3:])
+
+
+def _counting_scans(cache):
+    """Count directory scans: every one goes through ``_aged_entries``."""
+    scans = []
+    aged_entries = cache._aged_entries
+
+    def counting():
+        scans.append(True)
+        return aged_entries()
+
+    cache._aged_entries = counting
+    return scans
+
+
+class TestPutCost:
+    def test_puts_below_capacity_scan_once(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        scans = _counting_scans(cache)
+        for i in range(200):
+            cache.put(job_key("t", {"i": i}, salt="s"), "t", {"i": i})
+        assert len(scans) == 1
+        assert len(cache) == 200
+        assert cache.stats.evictions == 0
+
+    def test_second_writer_settles_at_the_next_scan(self, tmp_path):
+        root = str(tmp_path / "cache")
+        first = ResultCache(root, capacity=4)
+        scans = _counting_scans(first)
+        first.put(job_key("t", {"i": 0}, salt="s"), "t", {"i": 0})
+        second = ResultCache(root, capacity=100)
+        for i in range(1, 7):
+            second.put(job_key("t", {"i": i}, salt="s"), "t", {"i": i})
+        assert len(first) == 7  # over capacity, unseen by `first`
+        for i in range(7, 20):
+            first.put(job_key("t", {"i": i}, salt="s"), "t", {"i": i})
+            if len(scans) == 2:
+                break
+        assert len(scans) == 2
+        assert len(first) == 4

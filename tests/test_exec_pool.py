@@ -5,7 +5,9 @@ and keeps it: consecutive runs land in the same worker.  The pool is
 replaced after a crash or a timeout, when a worker died while idle,
 and when a task was registered after the fork; ``terminate()`` (and
 every owner that releases it: the serve daemon's ``close()``, the
-campaign CLIs) leaves no child process behind.
+campaign CLIs) leaves no child process behind.  A kept worker parses
+each spec text it serves once, through a bounded memo keyed by the
+text itself.
 """
 
 import gc
@@ -168,3 +170,72 @@ def test_in_process_cli_campaign_leaves_no_workers(tmp_path, capsys):
     assert "Design1" in capsys.readouterr().out
     assert multiprocessing.active_children() == []
 
+
+
+class TestSpecMemo:
+    """The per-process parsed-spec memo that kept workers reuse."""
+
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        """An empty memo, and the list of texts parsed through it."""
+        from repro.exec import campaigns
+        from repro.lang import parser
+
+        parses = []
+        parse = parser.parse
+
+        def counting_parse(text):
+            parses.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(parser, "parse", counting_parse)
+        campaigns._spec_from_text.cache_clear()
+        yield campaigns, parses
+        campaigns._spec_from_text.cache_clear()
+
+    @staticmethod
+    def _texts(count):
+        from repro.exec import canonical_spec_text
+        from repro.fuzz.generator import generate_case
+
+        return [canonical_spec_text(generate_case(seed).spec)
+                for seed in range(count)]
+
+    def test_interleaved_specs_parse_once_each(self, memo):
+        from repro.lang.printer import print_specification
+
+        campaigns, parses = memo
+        texts = self._texts(3)
+        for call in range(30):
+            text = texts[call % 3]
+            spec = campaigns._spec_from_text(text)
+            assert print_specification(spec) == text
+        assert sorted(parses) == sorted(texts)
+
+    def test_memo_is_bounded_and_keeps_recent_specs(self, memo):
+        campaigns, parses = memo
+        (text,) = self._texts(1)
+        # distinct texts of one spec: trailing newlines do not parse
+        variants = [text + "\n" * i for i in range(campaigns.SPEC_MEMO_SIZE + 8)]
+        for variant in variants:
+            campaigns._spec_from_text(variant)
+            held = campaigns._spec_from_text.cache_info().currsize
+            assert held <= campaigns.SPEC_MEMO_SIZE
+        assert len(parses) == len(variants)
+        campaigns._spec_from_text(variants[-1])  # recent: a hit
+        assert len(parses) == len(variants)
+        campaigns._spec_from_text(variants[0])  # evicted: parsed again
+        assert len(parses) == len(variants) + 1
+
+    def test_colliding_hashes_never_share_a_spec(self, memo):
+        from repro.lang.printer import print_specification
+
+        class _Colliding(str):
+            def __hash__(self):
+                return 0
+
+        campaigns, _ = memo
+        first, second = (_Colliding(text) for text in self._texts(2))
+        assert hash(first) == hash(second) and first != second
+        assert print_specification(campaigns._spec_from_text(first)) == first
+        assert print_specification(campaigns._spec_from_text(second)) == second

@@ -5,6 +5,7 @@ engine, the retrying client, and loadgen's deterministic report."""
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -306,6 +307,105 @@ class TestClient:
         assert ok.ok and ok.error_kind() is None
         err = Response(429, {}, {"error": {"kind": "queue-full"}}, 1, 0.0)
         assert err.error_kind() == "queue-full"
+
+
+# -- kept connections ---------------------------------------------------------
+
+
+def _count_accepts(server):
+    """Hook the daemon's listener: the list grows by one per accepted
+    TCP connection."""
+    accepted = []
+    process_request = server._httpd.process_request
+
+    def counting(request, client_address):
+        accepted.append(client_address)
+        process_request(request, client_address)
+
+    server._httpd.process_request = counting
+    return accepted
+
+
+def _handler_threads():
+    return [thread for thread in threading.enumerate()
+            if "process_request_thread" in thread.name]
+
+
+class TestKeptConnections:
+    def test_consecutive_submits_share_one_connection(self, server):
+        accepted = _count_accepts(server)
+        client = _client(server)
+        for value in range(5):
+            assert client.submit("test-serve-echo", {"value": value}).ok
+        assert len(accepted) == 1
+
+    def test_threads_sharing_a_client_each_keep_one(self, server):
+        accepted = _count_accepts(server)
+        client = _client(server)
+        outcomes = []
+
+        def submit_three(offset):
+            for value in range(offset, offset + 3):
+                outcomes.append(
+                    client.submit("test-serve-echo", {"value": value}).body
+                )
+
+        threads = [threading.Thread(target=submit_three, args=(offset,))
+                   for offset in (0, 10)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert sorted(body["payload"]["value"] for body in outcomes) == [
+            0, 1, 2, 10, 11, 12
+        ]
+        assert len(accepted) == 2
+
+    def test_idle_connection_closed_by_daemon_is_resent_once(
+        self, server, monkeypatch
+    ):
+        from repro.obs.events import EventJournal
+        from repro.serve.server import _Handler
+
+        monkeypatch.setattr(_Handler, "timeout", 0.05)
+        accepted = _count_accepts(server)
+        journal = EventJournal(keep=True)
+        client = _client(server, journal=journal)
+        assert client.submit("test-serve-echo", {"value": 1}).ok
+        time.sleep(0.4)  # the daemon times the idle connection out
+        response = client.submit("test-serve-echo", {"value": 2},
+                                 request_id="after-idle")
+        assert response.status == 200
+        assert response.attempts == 1
+        sends = [r for r in journal.records
+                 if r["kind"] == "client-send"
+                 and r["request_id"] == "after-idle"]
+        assert len(sends) == 1
+        assert len(accepted) == 2
+
+    def test_drain_answers_with_connection_close(self, server):
+        client = _client(server)
+        assert client.submit("test-serve-echo", {"value": 1}).ok
+        server.begin_drain("test")
+        response = client.submit("test-serve-echo", {"value": 2})
+        assert response.status == 503
+        assert response.headers.get("connection") == "close"
+
+    def test_close_ends_idle_handler_threads(self, tmp_path):
+        instance = ReproServer(
+            ServeConfig(port=0, workers=1, cache_dir=str(tmp_path / "c"))
+        ).start()
+        before = set(_handler_threads())
+        try:
+            client = ReproClient(port=instance.port, retries=0)
+            assert client.submit("test-serve-echo", {"value": 1}).ok
+            ours = set(_handler_threads()) - before
+            assert ours  # the kept connection's handler
+        finally:
+            instance.close()
+        for thread in ours:
+            thread.join(timeout=2.0)  # well under the idle timeout
+            assert not thread.is_alive()
 
 
 # -- loadgen ------------------------------------------------------------------
