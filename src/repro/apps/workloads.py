@@ -97,7 +97,7 @@ class Workload:
         self, seed: int, count: int = 3,
         spec_: Optional[Specification] = None,
     ) -> List[Dict[str, int]]:
-        """``count`` deterministic stimuli starting at sweep seed
+        """``count`` deterministic stimulus vectors starting at sweep seed
         ``seed``.  Seed 0 is the default stimulus; loop-bound ports
         stay pinned at their baseline so runtime stays bounded."""
         from repro.exec.campaigns import sweep_inputs

@@ -668,8 +668,6 @@ def _cmd_fuzz(args) -> int:
             vectors=args.vectors,
             corpus=corpus,
             engine=engine,
-            batch=args.batch,
-            lanes=args.lanes,
         )
         if tracer is not None:
             with tracer.span("fuzz", seed=args.seed, count=args.count):
@@ -821,8 +819,6 @@ def _cmd_serve(args) -> int:
         no_cache=args.no_cache,
         drain_grace=args.drain_grace,
         trace=args.trace,
-        batch=args.batch,
-        lanes=args.lanes,
         chaos=args.chaos,
         verbose=args.verbose,
         telemetry=not args.no_telemetry,
@@ -1223,12 +1219,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(repeatable; default all four)")
     p.add_argument("--corpus", default="tests/corpus",
                    help="regression corpus to replay first ('' to skip)")
-    p.add_argument("--batch", action="store_true",
-                   help="also run the batch-parity oracle (each case's "
-                        "vectors as lanes of one batched run)")
-    p.add_argument("--lanes", type=int, default=8, metavar="N",
-                   help="max lanes per batched run (default 8; "
-                        "with --batch)")
     p.add_argument("--json", action="store_true",
                    help="print the report as JSON instead of a table")
     p.add_argument("-o", "--output",
@@ -1368,12 +1358,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="how long a drain waits for in-flight requests")
     p.add_argument("--trace", action="store_true",
                    help="per-slot span tracing + the /v1/trace endpoint")
-    p.add_argument("--batch", action="store_true",
-                   help="accept batched simulate-cell jobs (a 'stimuli' "
-                        "list run through one compiled simulator)")
-    p.add_argument("--lanes", type=int, default=8, metavar="N",
-                   help="max lanes a batched submission may request "
-                        "(default 8; with --batch)")
     p.add_argument("--chaos", action="store_true",
                    help="register the chaos fault-injection tasks "
                         "(testing only)")

@@ -31,8 +31,7 @@ task               one job computes
                    byte-identical to the ``sweep-cell`` payloads
 ``simulate-cell``  parse a spec and execute its functional model under a
                    given stimulus — the unit ``repro serve`` clients and
-                   the ``repro loadgen`` harness submit; accepts a
-                   ``stimuli`` list to batch several vectors in one job
+                   the ``repro loadgen`` harness submit
 ``explore-cell``   evaluate one design point of the ``repro explore``
                    campaign: refine (partition, model, protocol) under an
                    allocation, execute the refined design with kernel
@@ -370,13 +369,7 @@ def fuzz_case(params: Dict[str, object]) -> Dict[str, object]:
     case = generate_case(case_seed, config)
     inputs = generate_input_vectors(case.spec, case_seed, params["vectors"])
     models = [resolve_model(m) for m in params["models"]]
-    result = run_all_oracles(
-        case,
-        inputs,
-        models,
-        params["max_steps"],
-        batch_lanes=params.get("batch_lanes"),
-    )
+    result = run_all_oracles(case, inputs, models, params["max_steps"])
     return {
         "checks": result.checks,
         "failures": _failures_to_params(result.failures),
@@ -408,40 +401,13 @@ def fuzz_corpus(params: Dict[str, object]) -> Dict[str, object]:
 @register("simulate-cell")
 def simulate_cell(params: Dict[str, object]) -> Dict[str, object]:
     """Parse + validate a specification and execute its functional
-    model under the given stimulus.  The smallest servable unit: the
-    serving layer and the load-generation harness submit these.
-
-    Two forms:
-
-    * ``inputs`` (one stimulus) — a single compiled single-lane run;
-    * ``stimuli`` (a list of stimulus dicts) — every vector runs
-      through one :class:`repro.sim.batch.BatchSimulator` (compiled
-      once); the payload carries one entry per lane, byte-identical to
-      what the single-stimulus form reports for the same vector.
-    """
+    model under the given ``inputs`` stimulus.  The smallest servable
+    unit: the serving layer and the load-generation harness submit
+    these."""
     from repro.sim.interpreter import Simulator
 
     spec = _spec_from_params(params)
     limits = limits_from_params(params.get("limits"))
-    stimuli = params.get("stimuli")
-    if stimuli is not None:
-        from repro.sim.batch import BatchSimulator
-
-        batch = BatchSimulator(spec).run_batch(stimuli, limits=limits)
-        for lane in batch:
-            if lane.error is not None:
-                raise lane.error
-        return {
-            "kernel": "batched",
-            "lanes": [
-                {
-                    "completed": lane.result.completed,
-                    "steps": lane.result.steps,
-                    "outputs": lane.result.output_values(),
-                }
-                for lane in batch
-            ],
-        }
     result = Simulator(spec).run(
         inputs=dict(params.get("inputs") or {}), limits=limits
     )

@@ -4,13 +4,15 @@ The campaign interleaves three deterministic *slices* so one run
 exercises every oracle-compatible feature mix:
 
 * ``default`` — the full refinable grammar; every oracle runs
-  (round-trip, walker parity, refinement equivalence per model);
+  (round-trip, walker parity, reuse parity, refinement equivalence
+  per model);
 * ``signals`` — signal declarations, ``<=`` assignments and waits;
-  round-trip + parity only (signal collapsing is schedule-dependent,
-  so refinement equivalence is not a sound oracle there);
+  round-trip + both parity oracles only (signal collapsing is
+  schedule-dependent, so refinement equivalence is not a sound oracle
+  there);
 * ``div-zero`` — ``/`` and ``mod`` right operands are sometimes the
-  literal zero; round-trip + parity only (exercises error-message
-  parity between the compiled and walker evaluators).
+  literal zero; round-trip + both parity oracles only (exercises
+  error-message parity between evaluators and across reused runs).
 
 Each case's generator seed is derived from the campaign seed and the
 case index, so ``run_fuzz(seed=0, count=200)`` is byte-reproducible:
@@ -34,6 +36,7 @@ from repro.fuzz.oracle import (
     DEFAULT_MAX_STEPS,
     OracleFailure,
     check_refinement,
+    check_reuse_parity,
     check_roundtrip,
     check_walker_parity,
 )
@@ -189,8 +192,6 @@ def run_fuzz(
     corpus: Optional[str] = DEFAULT_CORPUS_DIR,
     tracer=None,
     engine=None,
-    batch: bool = False,
-    lanes: int = 8,
 ) -> FuzzReport:
     """Run ``count`` generated cases through every applicable oracle.
 
@@ -198,13 +199,6 @@ def run_fuzz(
     ``budget`` overrides the generator's statement budget; ``corpus``
     names a regression-corpus directory to replay first (``None``
     skips it).  Same arguments, same report — byte for byte.
-
-    ``batch=True`` adds the batch-parity oracle to every generated
-    case (each case's vectors run through one reused simulator and
-    must match fresh-simulator runs bit for bit); ``lanes`` (>= 1)
-    caps the vectors per reused simulator.  The ``batch_lanes``
-    parameter is only added to job params when batching is on, so
-    existing cached ``fuzz-case`` results keep their keys.
 
     Each corpus entry and each generated case is one job (``fuzz-corpus``
     / ``fuzz-case``) dispatched through ``engine`` (an
@@ -217,8 +211,6 @@ def run_fuzz(
     """
     from repro.exec import ExecutionEngine, Job
 
-    if batch and lanes < 1:
-        raise ReproError(f"--lanes must be >= 1, got {lanes}")
     resolved = _resolve_models(models)
     if engine is None:
         engine = ExecutionEngine(tracer=tracer)
@@ -258,8 +250,6 @@ def run_fuzz(
             "models": model_names,
             "max_steps": max_steps,
         }
-        if batch:
-            params["batch_lanes"] = lanes
         jobs.append(Job("fuzz-case", params, label=f"case-{case_seed}"))
 
     # Campaign correlation (same pattern as run_sweep): inherit the
@@ -325,8 +315,8 @@ def replay_corpus_entry(
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> List[OracleFailure]:
     """Re-judge one persisted regression case with every oracle its
-    directives support (round-trip and parity always; refinement when
-    the entry pins a partition)."""
+    directives support (round-trip and both parity oracles always;
+    refinement when the entry pins a partition)."""
     try:
         spec = entry.load_spec()
     except ReproError as exc:
@@ -341,6 +331,7 @@ def replay_corpus_entry(
     vectors = entry.input_vectors or [{}]
     failures = list(check_roundtrip(spec))
     failures += check_walker_parity(spec, vectors, max_steps)
+    failures += check_reuse_parity(spec, vectors, max_steps)
     partition = entry.load_partition(spec)
     if partition is not None:
         failures += check_refinement(spec, partition, vectors, models,

@@ -5,8 +5,9 @@ The subsystem hunts bugs in three layers at once:
 * :mod:`repro.fuzz.generator` — a seeded random generator of valid,
   terminating, race-free specifications plus matching partitions;
 * :mod:`repro.fuzz.oracle` — the judges: parser/printer round-trip,
-  compiled-eval vs reference-walker parity, and original-vs-refined
-  equivalence across implementation models;
+  compiled-eval vs reference-walker parity, reused-vs-fresh simulator
+  parity, and original-vs-refined equivalence across implementation
+  models;
 * :mod:`repro.fuzz.shrink` — an automatic test-case reducer and the
   persisted regression corpus under ``tests/corpus/``.
 
@@ -26,8 +27,8 @@ from repro.fuzz.generator import (
 from repro.fuzz.oracle import (
     CaseResult,
     OracleFailure,
-    check_batch_parity,
     check_refinement,
+    check_reuse_parity,
     check_roundtrip,
     check_walker_parity,
     run_all_oracles,
@@ -51,8 +52,8 @@ __all__ = [
     "generate_pipeline_case",
     "CaseResult",
     "OracleFailure",
-    "check_batch_parity",
     "check_refinement",
+    "check_reuse_parity",
     "check_roundtrip",
     "check_walker_parity",
     "run_all_oracles",

@@ -1,6 +1,6 @@
 """Multi-oracle differential harness.
 
-Three independent oracles judge every generated case:
+Four independent oracles judge every generated case:
 
 1. **Round-trip** — printing a specification, parsing the text back,
    and printing again must reproduce the first text byte-for-byte (the
@@ -8,20 +8,19 @@ Three independent oracles judge every generated case:
 2. **Walker parity** — a compiled-closure simulation
    (``compile_cache=True``) and a reference-walker simulation
    (``compile_cache=False``) of the same spec and inputs must agree on
-   completion, every output value, every per-output write trace, every
-   global's final value — or raise the *same* error with the *same*
-   message.
-3. **Refinement equivalence** — for every requested implementation
+   completion, step count, simulated time, every output value, every
+   per-output write trace, every global's final value — or raise the
+   *same* error with the *same* message.
+3. **Simulator-reuse parity** — running all of a case's input vectors
+   through one reused compiled :class:`Simulator` must be
+   indistinguishable, vector for vector, from a fresh compiled
+   :class:`Simulator` per vector, on the same observations as walker
+   parity.
+4. **Refinement equivalence** — for every requested implementation
    model, :class:`repro.refine.Refiner` must accept the case's
    partition and :func:`repro.sim.equivalence.check_equivalence` must
    find the refined design observationally equal to the original on
    every input vector.
-4. **Simulator-reuse parity** (opt-in, ``repro fuzz --batch``) —
-   running all of a case's input vectors through one reused
-   :class:`repro.sim.batch.BatchSimulator` must be indistinguishable,
-   vector for vector, from a fresh compiled :class:`Simulator` per
-   vector — same outputs, traces, globals, completion, or the *same*
-   error text.  Its oracle name stays ``"batch"``.
 
 Failures carry enough context (oracle name, detail, printed spec,
 inputs, model) to be reported, shrunk, and persisted to the regression
@@ -49,7 +48,7 @@ __all__ = [
     "CaseResult",
     "check_roundtrip",
     "check_walker_parity",
-    "check_batch_parity",
+    "check_reuse_parity",
     "check_refinement",
     "run_all_oracles",
 ]
@@ -63,7 +62,7 @@ DEFAULT_MAX_STEPS = 200_000
 class OracleFailure:
     """One oracle verdict against one case."""
 
-    oracle: str  # "roundtrip" | "parity" | "refine:<model>"
+    oracle: str  # "roundtrip" | "parity" | "reuse" | "refine:<model>"
     detail: str
     spec_text: str = ""
     inputs: Optional[Dict[str, int]] = None
@@ -96,19 +95,24 @@ class CaseResult:
 class _Outcome:
     """What one simulation run produced: state or a structured error."""
 
-    __slots__ = ("completed", "outputs", "traces", "globals", "error")
+    __slots__ = ("completed", "steps", "time", "outputs", "traces",
+                 "globals", "error")
 
     def __init__(self, spec: Specification, result: Optional[SimulationResult],
                  error: Optional[BaseException]):
         if error is not None:
             self.error = f"{type(error).__name__}: {error}"
             self.completed = None
+            self.steps = None
+            self.time = None
             self.outputs = None
             self.traces = None
             self.globals = None
             return
         self.error = None
         self.completed = result.completed
+        self.steps = result.steps
+        self.time = result.time
         self.outputs = dict(result.output_values())
         self.traces = {
             v.name: [(e.variable, e.value) for e in result.output_trace(v.name)]
@@ -130,6 +134,10 @@ class _Outcome:
             out.append(
                 f"completion mismatch: {self.completed} vs {other.completed}"
             )
+        if self.steps != other.steps:
+            out.append(f"step count: {self.steps} vs {other.steps}")
+        if self.time != other.time:
+            out.append(f"simulated time: {self.time!r} vs {other.time!r}")
         for name in self.outputs:
             if self.outputs[name] != other.outputs[name]:
                 out.append(
@@ -150,15 +158,13 @@ class _Outcome:
         return out
 
 
-def _run(spec: Specification, inputs: Dict[str, int], compile_cache: bool,
+def _run(simulator: Simulator, inputs: Dict[str, int],
          max_steps: int) -> _Outcome:
     try:
-        result = Simulator(spec, compile_cache=compile_cache).run(
-            inputs=inputs, max_steps=max_steps
-        )
+        result = simulator.run(inputs=inputs, max_steps=max_steps)
     except ReproError as exc:
-        return _Outcome(spec, None, exc)
-    return _Outcome(spec, result, None)
+        return _Outcome(simulator.spec, None, exc)
+    return _Outcome(simulator.spec, result, None)
 
 
 # -- oracles -----------------------------------------------------------------
@@ -206,8 +212,8 @@ def check_walker_parity(
     failures: List[OracleFailure] = []
     text = None
     for inputs in input_vectors:
-        compiled = _run(spec, inputs, True, max_steps)
-        walked = _run(spec, inputs, False, max_steps)
+        compiled = _run(Simulator(spec), inputs, max_steps)
+        walked = _run(Simulator(spec, compile_cache=False), inputs, max_steps)
         for delta in compiled.diff(walked):
             if text is None:
                 text = print_specification(spec)
@@ -222,49 +228,39 @@ def check_walker_parity(
     return failures
 
 
-def check_batch_parity(
+def check_reuse_parity(
     spec: Specification,
     input_vectors: Sequence[Dict[str, int]],
     max_steps: int = DEFAULT_MAX_STEPS,
-    lanes: int = 8,
 ) -> List[OracleFailure]:
     """Simulator reuse must be indistinguishable, vector for vector,
     from a fresh compiled simulator per vector.
 
-    Vectors are grouped ``lanes`` at a time; each group runs through
-    one new :class:`repro.sim.batch.BatchSimulator`, which reuses one
-    compiled :class:`Simulator` across the group.  Every lane's
-    outcome (outputs, traces, globals, completion — or error text) is
-    diffed against a fresh simulator's run of the same vector.
+    Every vector runs in turn through one compiled :class:`Simulator`,
+    whose closure caches persist across runs while :meth:`Simulator.run`
+    rebuilds the kernel, frames and trace; each outcome is diffed
+    against a fresh simulator's run of the same vector.  The first
+    vector runs once more at the end, so a one-vector case still checks
+    a run that follows another.
     """
-    from repro.sim.batch import BatchSimulator
-    from repro.sim.kernel import KernelLimits
-
     failures: List[OracleFailure] = []
     text = None
-    vectors = [dict(v) for v in input_vectors]
-    limits = KernelLimits(max_steps=max_steps)
-    for start in range(0, len(vectors), max(lanes, 1)):
-        chunk = vectors[start : start + max(lanes, 1)]
-        batch = BatchSimulator(spec).run_batch(chunk, limits=limits)
-        for inputs, lane in zip(chunk, batch):
-            batched = _Outcome(
-                spec,
-                lane.result if lane.ok else None,
-                lane.error,
-            )
-            single = _run(spec, inputs, True, max_steps)
-            for delta in batched.diff(single):
-                if text is None:
-                    text = print_specification(spec)
-                failures.append(
-                    OracleFailure(
-                        "batch",
-                        f"reused vs fresh simulator: {delta}",
-                        spec_text=text,
-                        inputs=dict(inputs),
-                    )
+    reused = Simulator(spec)
+    fresh = [_run(Simulator(spec), inputs, max_steps) for inputs in input_vectors]
+    order = list(range(len(fresh))) + [0] if fresh else []
+    for index in order:
+        inputs = input_vectors[index]
+        for delta in _run(reused, inputs, max_steps).diff(fresh[index]):
+            if text is None:
+                text = print_specification(spec)
+            failures.append(
+                OracleFailure(
+                    "reuse",
+                    f"reused vs fresh simulator: {delta}",
+                    spec_text=text,
+                    inputs=dict(inputs),
                 )
+            )
     return failures
 
 
@@ -333,21 +329,15 @@ def run_all_oracles(
     input_vectors: Sequence[Dict[str, int]],
     models: Sequence[ImplementationModel] = ALL_MODELS,
     max_steps: int = DEFAULT_MAX_STEPS,
-    batch_lanes: Optional[int] = None,
 ) -> CaseResult:
     """Judge one :class:`repro.fuzz.generator.GeneratedCase` with every
-    applicable oracle.  ``batch_lanes`` (``repro fuzz --batch``) adds
-    the batch-parity oracle with that many lanes per batch."""
+    applicable oracle."""
     result = CaseResult(seed=case.seed)
     result.failures += check_roundtrip(case.spec)
     result.checks += 1
     result.failures += check_walker_parity(case.spec, input_vectors, max_steps)
-    result.checks += len(input_vectors)
-    if batch_lanes:
-        result.failures += check_batch_parity(
-            case.spec, input_vectors, max_steps, lanes=batch_lanes
-        )
-        result.checks += len(input_vectors)
+    result.failures += check_reuse_parity(case.spec, input_vectors, max_steps)
+    result.checks += 2 * len(input_vectors)
     if case.refinable:
         result.failures += check_refinement(
             case.spec, case.partition, input_vectors, models, max_steps

@@ -84,7 +84,6 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ReproError
 from repro.exec import (
     ExecutionEngine,
     Job,
@@ -181,11 +180,6 @@ class ServeConfig:
     drain_grace: float = 30.0
     #: per-slot SpanTracers + the /v1/trace endpoint
     trace: bool = False
-    #: accept batched ``simulate-cell`` jobs (a ``stimuli`` list of up
-    #: to ``lanes`` vectors run through one compiled simulator)
-    batch: bool = False
-    #: max lanes a batched ``simulate-cell`` submission may request
-    lanes: int = 8
     #: register the chaos tasks (sleep/crash/spin) — testing only
     chaos: bool = False
     #: access-log lines on stderr
@@ -353,8 +347,6 @@ class ReproServer:
             raise ValueError(
                 f"queue-limit must be >= 0, got {self.config.queue_limit}"
             )
-        if self.config.batch and self.config.lanes < 1:
-            raise ReproError(f"--lanes must be >= 1, got {self.config.lanes}")
         self.cache: Optional[ResultCache] = None
         if not self.config.no_cache:
             self.cache = ResultCache(
@@ -635,28 +627,13 @@ class ReproServer:
                 f"unknown task {task!r}; GET /v1/tasks lists the registry",
                 request_id=rid,
             )
-        stimuli = params.get("stimuli")
-        if stimuli is not None:
-            if not self.config.batch:
-                return self._error(
-                    "bad-request",
-                    'batched submissions ("stimuli") need a daemon '
-                    "started with --batch",
-                    request_id=rid,
-                )
-            if not isinstance(stimuli, list) or not stimuli:
-                return self._error(
-                    "bad-request", '"stimuli" must be a non-empty list',
-                    request_id=rid,
-                )
-            if len(stimuli) > self.config.lanes:
-                return self._error(
-                    "bad-request",
-                    f'"stimuli" carries {len(stimuli)} vectors; this '
-                    f"daemon allows at most {self.config.lanes} lanes "
-                    "(--lanes)",
-                    request_id=rid,
-                )
+        if "stimuli" in params:
+            return self._error(
+                "bad-request",
+                'batched submissions ("stimuli") are not supported; '
+                'submit one "inputs" vector per job',
+                request_id=rid,
+            )
         workload = params.get("workload")
         if workload is not None:
             # reject unknown registry ids at admission rather than

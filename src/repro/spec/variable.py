@@ -35,7 +35,7 @@ class Role(enum.Enum):
 
     #: Internal state; may be freely relocated by refinement.
     INTERNAL = "internal"
-    #: Environment-driven input; the simulator applies stimuli to it.
+    #: Environment-driven input; the simulator applies the stimulus to it.
     INPUT = "input"
     #: System output; its write trace defines observable behaviour.
     OUTPUT = "output"

@@ -96,7 +96,6 @@ EXEMPT = {
     "kernel_hotpath.txt": "CPU-time ratios of bench_kernel_hotpath.py",
     "explore_seeding.json": "search wall times of bench_explore.py",
     "explore_seeding.txt": "search wall times of bench_explore.py",
-    "BENCH_pipeline.json": "per-phase seconds of scripts/bench_report.py",
     "trace.json": "span timestamps of `repro profile --trace`",
 }
 
@@ -188,10 +187,6 @@ def _mask_times(text: str) -> str:
     return re.sub(r" +", " ", text)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "benchmarks/output/figure10.txt is stale: one refined line more per "
-    "cell than the refiner prints (ROADMAP: regenerate the stale Figure "
-    "10 artifact); drop this mark once it is regenerated"))
 def test_figure10_artifact_matches_with_times_masked(tmp_path):
     module_name, function, name = MASKED
     conftest = _load(BENCH_DIR / "conftest.py", "_artifact_bench_conftest")

@@ -245,10 +245,3 @@ class TestCampaign:
     def test_unknown_model_rejected(self):
         with pytest.raises(ReproError):
             run_fuzz(seed=0, count=1, models=["Model9"], corpus=None)
-
-    def test_batch_with_zero_lanes_rejected(self):
-        # lanes=0 used to drop the batch oracle silently while the
-        # report still read like a --batch run
-        with pytest.raises(ReproError, match="--lanes must be >= 1"):
-            run_fuzz(seed=0, count=1, models=[MODEL1], corpus=None,
-                     batch=True, lanes=0)

@@ -9,7 +9,6 @@ import time
 
 import pytest
 
-from repro.errors import ReproError
 from repro.exec import ExecutionEngine, Job, SerialExecutor, code_version_salt, register
 from repro.serve import (
     CircuitBreaker,
@@ -204,12 +203,17 @@ class TestTraceEndpoint:
             server.close()
 
 
-class TestConfigValidation:
-    def test_batch_with_zero_lanes_rejected_at_startup(self):
-        # lanes=0 used to start a daemon that refused every stimuli
-        # submission with "allows at most 0 lanes"
-        with pytest.raises(ReproError, match="--lanes must be >= 1"):
-            ReproServer(ServeConfig(port=0, no_cache=True, batch=True, lanes=0))
+class TestAdmission:
+    def test_stimuli_submission_is_bad_request(self, server):
+        # a "stimuli" field is refused at admission rather than ignored
+        # in favour of "inputs", and never reaches a worker slot
+        response = _client(server).submit(
+            "simulate-cell", {"workload": "medical", "stimuli": [{}]}
+        )
+        assert response.status == 400
+        assert response.error_kind() == "bad-request"
+        assert '"stimuli"' in response.body["error"]["message"]
+        assert server.stats()["server"]["ok"] == 0
 
 
 # -- determinism / byte identity ----------------------------------------------

@@ -16,7 +16,7 @@ build serves every Hypothesis example.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.fuzz import check_batch_parity
+from repro.fuzz import check_reuse_parity
 from repro.models import ALL_MODELS
 from repro.refine import Refiner
 from repro.sim.equivalence import check_equivalence
@@ -65,7 +65,7 @@ class TestRegistryProperties:
     def test_batch_kernel_matches_single_lane(self, workload, seed):
         """One batch of generated vectors through a reused simulator
         produces exactly the fresh-simulator outcomes, vector by
-        vector."""
+        vector (the always-on fuzz oracle ``check_reuse_parity``)."""
         vectors = workload.input_vectors(seed, count=4)
-        failures = check_batch_parity(_spec(workload), vectors)
+        failures = check_reuse_parity(_spec(workload), vectors)
         assert failures == [], "\n".join(f.detail for f in failures)
