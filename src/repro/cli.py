@@ -58,9 +58,9 @@ Subcommands mirror the library's main flows:
 
 The campaign commands (``figure9``, ``figure10``, ``robustness``,
 ``fuzz``, ``sweep``, ``explore``) share the execution-engine flags: ``--executor
-serial|process``, ``--workers N``, ``--job-timeout S``, ``--shards N``,
-plus the result cache (``--cache DIR`` to enable, ``--no-cache``,
-``--refresh``) and ``--journal PATH`` (structured campaign/job events
+serial|process``, ``--workers N``, ``--job-timeout S``, plus the result
+cache (``--cache DIR`` to enable, ``--no-cache``, ``--refresh``) and
+``--journal PATH`` (structured campaign/job events
 with a shared run ID; see ``docs/OBSERVABILITY.md``).  Campaign tables
 print to stdout; engine/cache
 statistics print to stderr, so stdout stays byte-comparable across
@@ -158,8 +158,6 @@ def _add_exec_options(p) -> None:
     group.add_argument("--job-timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="per-job wall-clock budget (process executor)")
-    group.add_argument("--shards", type=int, default=1, metavar="N",
-                       help="jobs bundled per worker round-trip (default 1)")
     group.add_argument("--cache", nargs="?", const="", default=None,
                        metavar="DIR",
                        help="enable the result cache (default dir: "
@@ -187,10 +185,9 @@ def _build_engine(args, tracer=None):
         if args.workers is not None:
             options["workers"] = args.workers
         options["timeout"] = args.job_timeout
-        options["shard_size"] = args.shards
     executor = resolve_executor(args.executor, **options)
     cache = None
-    if args.cache is not None:
+    if args.cache is not None and not args.no_cache:
         cache = ResultCache(args.cache or default_cache_dir())
     journal = None
     if getattr(args, "journal", None):
@@ -201,7 +198,6 @@ def _build_engine(args, tracer=None):
         executor=executor,
         cache=cache,
         tracer=tracer,
-        no_cache=args.no_cache,
         refresh=args.refresh,
         journal=journal,
     )
@@ -717,7 +713,6 @@ def _cmd_sweep(args) -> int:
             limits=_parse_limits(args),
             engine=engine,
             batch=args.batch,
-            lanes=args.lanes,
         )
         rendered = result.as_json() if args.json else result.render()
         print(rendered)
@@ -775,7 +770,6 @@ def _cmd_explore(args) -> int:
             max_cells=args.max_cells,
             limits=_parse_limits(args),
             engine=engine,
-            batch=args.batch,
         )
         rendered = result.as_json() if args.json else result.render()
         print(rendered)
@@ -1250,11 +1244,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_limits(p)
     p.add_argument("--batch", action="store_true",
                    help="group seeds of one (design, model, protocol) "
-                        "into batched jobs (same table, "
+                        "into batched jobs of up to 8 seeds (same table, "
                         "fewer refinements)")
-    p.add_argument("--lanes", type=int, default=8, metavar="N",
-                   help="max seeds per batched job (default 8; "
-                        "with --batch)")
     p.add_argument("--json", action="store_true",
                    help="print a JSON report (cells + kernel-variant "
                         "counts) instead of the table")
@@ -1300,10 +1291,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="hard cell budget; the campaign stops "
                         "deterministically when it is reached")
     add_limits(p)
-    p.add_argument("--batch", action="store_true",
-                   help="group a candidate's model x protocol points into "
-                        "one job sharing a single profiling run (same "
-                        "report, fewer simulations)")
     p.add_argument("--json", action="store_true",
                    help="print the JSON report (frontier + every evaluated "
                         "point + stop reason) instead of the table")

@@ -5,7 +5,7 @@ runs, ``repro sweep`` — are grids of independent jobs.  This package
 turns each grid into a declarative job list and runs it through:
 
 * a pluggable **executor** — ``serial`` (the reference) or ``process``
-  (a multiprocessing pool with shards, per-job timeouts and graceful
+  (a multiprocessing pool with per-job timeouts and graceful
   degradation to serial on worker crash);
 * a **content-addressed result cache** keyed by SHA-256 over the
   canonical specification text, partition, model, protocol, seed and a

@@ -38,11 +38,6 @@ task               one job computes
                    counters (the Figure 9 counted-transfer metric), and
                    price it through the estimation chain — returning the
                    (traffic, size, cost) objective vector
-``explore-batch``  evaluate several design points sharing one candidate
-                   partition as a single job: profile the original once,
-                   then refine and price every (model, protocol) against
-                   that shared profile — per-point payloads are
-                   byte-identical to ``explore-cell``'s
 =================  ==========================================================
 
 Payloads that carry simulation results also carry a ``kernel`` tag
@@ -601,64 +596,3 @@ def explore_cell(params: Dict[str, object]) -> Dict[str, object]:
         "kernel": "compiled",
     }
 
-
-@register("explore-batch")
-def explore_batch(params: Dict[str, object]) -> Dict[str, object]:
-    """Several ``repro explore`` design points sharing one candidate
-    partition, as a single job.
-
-    The profiling simulation of the original specification depends
-    only on (partition, allocation, inputs), so it runs *once*; every
-    (model, protocol) point in ``params["points"]`` then refines,
-    executes and prices against that shared profile.  Profiling is
-    deterministic, so each entry of the payload's ``points`` list is
-    byte-identical to what an ``explore-cell`` job reports for the
-    same design point.
-    """
-    from repro.estimate.cost import design_cost
-    from repro.estimate.profile import profile_specification
-    from repro.estimate.rates import bus_transfer_rates
-    from repro.graph.access_graph import AccessGraph
-    from repro.models import resolve_model
-    from repro.refine.refiner import Refiner
-    from repro.sim.interpreter import Simulator
-    from repro.sim.metrics import SimMetrics
-
-    spec = _spec_from_params(params)
-    partition = _partition_for(spec, params)
-    allocation = allocation_from_params(params.get("allocation"))
-    graph = AccessGraph.from_specification(spec)
-    limits = limits_from_params(params.get("limits"))
-    inputs = dict(params["inputs"])
-    profile = profile_specification(
-        spec, partition, allocation, inputs=inputs, graph=graph
-    )
-    points: List[Dict[str, object]] = []
-    for point in params["points"]:
-        model = resolve_model(point["model"])
-        refined = Refiner(
-            spec,
-            partition,
-            model,
-            allocation=allocation,
-            protocol=point["protocol"],
-        ).run()
-        metrics = SimMetrics()
-        run = Simulator(refined.spec).run(
-            inputs=inputs, limits=limits, metrics=metrics
-        )
-        plan = model.build_plan(spec, partition, graph=graph)
-        cost = design_cost(
-            plan, rates=bus_transfer_rates(plan, graph, profile)
-        )
-        points.append(
-            {
-                "traffic": metrics.bus_transactions,
-                "refined_lines": refined.line_counts()["refined"],
-                "cost": round(cost.total, 1),
-                "cost_detail": cost.as_dict(),
-                "steps": run.steps,
-                "kernel": "compiled",
-            }
-        )
-    return {"points": points}

@@ -54,8 +54,6 @@ class ExecutionEngine:
     ``cache``
         A :class:`repro.exec.cache.ResultCache`, or ``None`` to run
         uncached (the default — campaign drivers opt in).
-    ``no_cache``
-        Bypass the cache entirely (neither read nor write).
     ``refresh``
         Recompute every job but store the fresh results (a cache
         warm-up that distrusts current contents).
@@ -71,7 +69,6 @@ class ExecutionEngine:
         cache: Optional[ResultCache] = None,
         metrics: Optional[ExecMetrics] = None,
         tracer=None,
-        no_cache: bool = False,
         refresh: bool = False,
         journal=None,
         registry=None,
@@ -80,7 +77,6 @@ class ExecutionEngine:
         self.cache = cache
         self.metrics = metrics if metrics is not None else ExecMetrics()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.no_cache = no_cache
         self.refresh = refresh
         self.journal = journal if journal is not None else NULL_JOURNAL
         self.registry = registry if registry is not None else NULL_REGISTRY
@@ -122,7 +118,7 @@ class ExecutionEngine:
         started = time.perf_counter()
         salt = code_version_salt()
         executor_name = getattr(self.executor, "name", "custom")
-        use_cache = self.cache is not None and not self.no_cache
+        use_cache = self.cache is not None
         read_cache = use_cache and not self.refresh
         # the correlation ID every event/span of this grid carries:
         # the serving layer's bound request ID when present, else a

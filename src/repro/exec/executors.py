@@ -30,15 +30,15 @@ propagates one request's deadline into exactly that request's jobs
 without touching the executor's configured default.
 
 :class:`ProcessExecutor` forks its pool on the first ``run`` and keeps
-it for later runs, so a job costs one queue round-trip rather than a
-fork.  The kept pool is replaced by a fresh one only when a job times
-out (the worker is poisoned), a worker dies mid-job (the pool is
-broken), a worker died while idle (detected before the next submit,
-so no job is charged with it), or a task was registered after the
-fork (the workers would not know it).  :meth:`ProcessExecutor.terminate`
-kills the pool and reaps its workers; every pool owner calls it when
-done (the campaign CLIs also on SIGINT/SIGTERM, the serve daemon on
-close).
+it for later runs.  Every job is its own pool task, so it costs one
+queue round-trip rather than a fork.  The kept pool is replaced by a
+fresh one only when a job times out (the worker is poisoned), a worker
+dies mid-job (the pool is broken), a worker died while idle (detected
+before the next submit, so no job is charged with it), or a task was
+registered after the fork (the workers would not know it).
+:meth:`ProcessExecutor.terminate` kills the pool and reaps its
+workers; every pool owner calls it when done (the campaign CLIs also
+on SIGINT/SIGTERM, the serve daemon on close).
 """
 
 from __future__ import annotations
@@ -89,11 +89,6 @@ def _execute_one(task: str, params: Dict[str, object]) -> Outcome:
         }
 
 
-def _run_shard(shard: List[Item]) -> List[Outcome]:
-    """Worker entry point: run a shard of jobs sequentially."""
-    return [_execute_one(task, params) for task, params in shard]
-
-
 def _cancelled_outcome() -> Outcome:
     return {
         "error": _structured_error(
@@ -129,17 +124,13 @@ class SerialExecutor:
 
 
 class ProcessExecutor:
-    """A multiprocessing pool with shards, timeouts and degradation.
+    """A multiprocessing pool with per-job timeouts and degradation.
 
     ``workers``
         Pool size (default: all schedulable CPUs, capped at 4 so the
         default matches the benchmark gate's configuration).
     ``timeout``
         Per-job wall-clock budget in seconds (``None``: unlimited).
-        Shards multiply it by their length.
-    ``shard_size``
-        Jobs bundled per worker round-trip.  1 (the default) maximises
-        load balance; larger shards amortise IPC for very short jobs.
     ``serial_fallback``
         On a worker crash, recompute the unfinished jobs serially in
         the parent instead of raising (default on).
@@ -156,7 +147,6 @@ class ProcessExecutor:
         self,
         workers: Optional[int] = None,
         timeout: Optional[float] = None,
-        shard_size: int = 1,
         serial_fallback: bool = True,
         mp_context: Optional[str] = None,
     ):
@@ -164,11 +154,8 @@ class ProcessExecutor:
             workers = min(4, _available_cpus())
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if shard_size < 1:
-            raise ValueError(f"shard_size must be >= 1, got {shard_size}")
         self.workers = workers
         self.timeout = timeout
-        self.shard_size = shard_size
         self.serial_fallback = serial_fallback
         self._mp_context = mp_context
         self.degraded = 0
@@ -285,35 +272,25 @@ class ProcessExecutor:
     ) -> List[Outcome]:
         effective = timeout if timeout is not None else self.timeout
         outcomes: Dict[int, Outcome] = {}
-        shards = self._make_shards(items)
-        pending: List[Tuple[List[int], List[Item]]] = list(shards)
+        pending = list(range(len(items)))
         while pending:
             if cancel is not None and cancel.is_set():
-                for indices, _ in pending:
-                    for i in indices:
-                        outcomes[i] = _cancelled_outcome()
+                for i in pending:
+                    outcomes[i] = _cancelled_outcome()
                 break
-            pending = self._run_wave(pending, outcomes, effective, cancel)
+            pending = self._run_wave(items, pending, outcomes, effective, cancel)
         return [outcomes[i] for i in range(len(items))]
-
-    def _make_shards(
-        self, items: Sequence[Item]
-    ) -> List[Tuple[List[int], List[Item]]]:
-        shards = []
-        for start in range(0, len(items), self.shard_size):
-            indices = list(range(start, min(start + self.shard_size, len(items))))
-            shards.append((indices, [items[i] for i in indices]))
-        return shards
 
     def _run_wave(
         self,
-        shards: List[Tuple[List[int], List[Item]]],
+        items: Sequence[Item],
+        pending: List[int],
         outcomes: Dict[int, Outcome],
         timeout: Optional[float],
         cancel: Optional[threading.Event] = None,
-    ) -> List[Tuple[List[int], List[Item]]]:
-        """Submit every shard to the kept pool, collect in order;
-        returns shards that must be resubmitted (after a timeout
+    ) -> List[int]:
+        """Submit every pending job to the kept pool, collect in order;
+        returns the indices that must be resubmitted (after a timeout
         replaced the pool)."""
         from concurrent.futures import BrokenExecutor
         from concurrent.futures import TimeoutError as FutureTimeout
@@ -322,51 +299,47 @@ class ProcessExecutor:
         pool_dead = False
         try:
             futures = [
-                (pool.submit(_run_shard, shard), indices, shard)
-                for indices, shard in shards
+                (pool.submit(_execute_one, *items[i]), i) for i in pending
             ]
-            requeue: List[Tuple[List[int], List[Item]]] = []
-            crashed: List[Tuple[List[int], List[Item]]] = []
-            for future, indices, shard in futures:
+            requeue: List[int] = []
+            crashed: List[int] = []
+            for future, i in futures:
                 if pool_dead:
-                    # pool already recycled: salvage finished shards, requeue the rest
+                    # pool already recycled: salvage finished jobs, requeue the rest
                     if future.done() and not future.cancelled():
                         try:
-                            self._absorb(future.result(0), indices, outcomes)
+                            outcomes[i] = future.result(0)
                             continue
                         except Exception:
                             pass
-                    requeue.append((indices, shard))
+                    requeue.append(i)
                     continue
-                budget = None if timeout is None else timeout * len(shard)
                 try:
-                    self._absorb(future.result(budget), indices, outcomes)
+                    outcomes[i] = future.result(timeout)
                 except FutureTimeout:
                     self.timeouts += 1
-                    for i in indices:
-                        outcomes[i] = {
-                            "error": _structured_error(
-                                "timeout",
-                                None,
-                                f"job exceeded its {timeout}s budget",
-                            ),
-                            "seconds": budget or 0.0,
-                        }
+                    outcomes[i] = {
+                        "error": _structured_error(
+                            "timeout",
+                            None,
+                            f"job exceeded its {timeout}s budget",
+                        ),
+                        "seconds": timeout,
+                    }
                     # the worker is still grinding on the abandoned job —
                     # replace the pool so the rest get clean workers
                     self._discard(pool)
                     self.restarts += 1
                     pool_dead = True
                 except (BrokenExecutor, EnvironmentError) as exc:
-                    crashed.append((indices, shard))
+                    crashed.append(i)
                     self._discard(pool)
                     pool_dead = True
                     if not self.serial_fallback:
-                        for i in indices:
-                            outcomes[i] = {
-                                "error": _structured_error("crash", exc),
-                                "seconds": 0.0,
-                            }
+                        outcomes[i] = {
+                            "error": _structured_error("crash", exc),
+                            "seconds": 0.0,
+                        }
         except BaseException:
             # interrupted (KeyboardInterrupt/SIGTERM): never leave
             # worker processes grinding behind the raise
@@ -374,24 +347,16 @@ class ProcessExecutor:
             raise
         if crashed and self.serial_fallback:
             # graceful degradation: a worker died mid-job; recompute the
-            # in-flight shard and everything still queued in-process
+            # in-flight job and everything still queued in-process
             self.degraded += 1
-            for indices, shard in crashed + requeue:
+            for i in crashed + requeue:
                 if cancel is not None and cancel.is_set():
-                    for i in indices:
-                        outcomes[i] = _cancelled_outcome()
+                    outcomes[i] = _cancelled_outcome()
                     continue
-                self.retries += len(indices)
-                self._absorb(_run_shard(shard), indices, outcomes)
+                self.retries += 1
+                outcomes[i] = _execute_one(*items[i])
             return []
         return requeue
-
-    @staticmethod
-    def _absorb(
-        results: List[Outcome], indices: List[int], outcomes: Dict[int, Outcome]
-    ) -> None:
-        for i, outcome in zip(indices, results):
-            outcomes[i] = outcome
 
 
 def _available_cpus() -> int:

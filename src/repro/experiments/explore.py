@@ -391,7 +391,6 @@ def run_explore(
     balance_weight: float = 0.35,
     limits: Optional[KernelLimits] = None,
     engine=None,
-    batch: bool = False,
     workload=None,
 ) -> ExploreResult:
     """Run the layered exploration campaign; see the module docstring.
@@ -408,11 +407,6 @@ def run_explore(
     searches on a 2-CPU container (``docs/EXPLORATION.md``).  Every
     distinct design point becomes one ``explore-cell`` job through
     ``engine``.
-
-    With ``batch=True`` a layer's points sharing one (allocation,
-    recipe) candidate are grouped into a single ``explore-batch`` job
-    that profiles the candidate once and prices every model x protocol
-    against that shared profile — same payloads, fewer simulations.
     """
     from repro.exec import ExecutionEngine, Job
     from repro.exec import canonical_partition, canonical_spec_text
@@ -528,52 +522,24 @@ def run_explore(
                 points = points[:room]
                 budget_hit = True
 
-        if batch:
-            groups: List[Tuple[Tuple[str, str], List]] = []
-            for point in points:
-                group_key = (point[0], point[1])
-                if not groups or groups[-1][0] != group_key:
-                    groups.append((group_key, []))
-                groups[-1][1].append(point)
-            jobs = [
-                Job(
-                    "explore-batch",
-                    {
-                        "workload": workload.id,
-                        "spec": spec_text,
-                        "partition": group[0][4],
-                        "design": recipe,
-                        "allocation": allocation_data[alloc],
-                        "points": [
-                            {"model": model, "protocol": protocol}
-                            for _, _, model, protocol, _ in group
-                        ],
-                        "inputs": inputs,
-                        "limits": limits_data,
-                    },
-                    label=f"explore:{alloc}:{recipe}:x{len(group)}",
-                )
-                for (alloc, recipe), group in groups
-            ]
-        else:
-            jobs = [
-                Job(
-                    "explore-cell",
-                    {
-                        "workload": workload.id,
-                        "spec": spec_text,
-                        "partition": pairs,
-                        "design": recipe,
-                        "allocation": allocation_data[alloc],
-                        "model": model,
-                        "protocol": protocol,
-                        "inputs": inputs,
-                        "limits": limits_data,
-                    },
-                    label=f"explore:{alloc}:{recipe}:{model}:{protocol}",
-                )
-                for alloc, recipe, model, protocol, pairs in points
-            ]
+        jobs = [
+            Job(
+                "explore-cell",
+                {
+                    "workload": workload.id,
+                    "spec": spec_text,
+                    "partition": pairs,
+                    "design": recipe,
+                    "allocation": allocation_data[alloc],
+                    "model": model,
+                    "protocol": protocol,
+                    "inputs": inputs,
+                    "limits": limits_data,
+                },
+                label=f"explore:{alloc}:{recipe}:{model}:{protocol}",
+            )
+            for alloc, recipe, model, protocol, pairs in points
+        ]
 
         with bind_request_id(run_id):
             journal.emit(
@@ -583,14 +549,7 @@ def run_explore(
             job_results = engine.run(jobs)
         layers_total_counter.inc()
 
-        payloads = []
-        if batch:
-            grouped = iter(job_results)
-            for _, group in groups:
-                payload = next(grouped).require()
-                payloads.extend(payload["points"])
-        else:
-            payloads = [job_result.require() for job_result in job_results]
+        payloads = [job_result.require() for job_result in job_results]
 
         added = 0
         for (alloc, recipe, model, protocol, _), payload in zip(

@@ -33,6 +33,8 @@ __all__ = ["SweepCell", "SweepResult", "run_sweep"]
 
 DEFAULT_PROTOCOLS = ("handshake",)
 DEFAULT_SEEDS = (0,)
+#: seeds per ``batch-cell`` job of a ``batch=True`` sweep
+BATCH_LANES = 8
 
 
 @dataclass
@@ -136,7 +138,6 @@ def run_sweep(
     limits: Optional[KernelLimits] = None,
     engine=None,
     batch: bool = False,
-    lanes: int = 8,
     workload=None,
 ) -> SweepResult:
     """Cross-product sweep; every cell is one ``sweep-cell`` job.
@@ -152,7 +153,7 @@ def run_sweep(
 
     With ``batch=True`` the grid's seeds are grouped per (design,
     model, protocol) cell-family into ``batch-cell`` jobs of up to
-    ``lanes`` seeds each — one refinement and one batched
+    :data:`BATCH_LANES` seeds each — one refinement and one batched
     co-simulation per job instead of one per seed.  The resulting
     cells (and the rendered table) are byte-identical to the serial
     sweep; only the :attr:`SweepCell.kernel` tags differ.
@@ -214,8 +215,6 @@ def run_sweep(
         return result
 
     if batch:
-        if lanes < 1:
-            raise ReproError(f"--lanes must be >= 1, got {lanes}")
         families = [
             (design, model, protocol)
             for design in design_names
@@ -223,8 +222,8 @@ def run_sweep(
             for protocol in protocol_names
         ]
         chunks = [
-            seed_list[i : i + lanes]
-            for i in range(0, len(seed_list), lanes)
+            seed_list[i : i + BATCH_LANES]
+            for i in range(0, len(seed_list), BATCH_LANES)
         ]
         jobs = [
             Job(

@@ -338,3 +338,24 @@ class TestFuzz:
         events = json.loads(trace_file.read_text())
         assert any(e.get("name", "").startswith("case-")
                    for e in events.get("traceEvents", events))
+
+
+class TestEngineOptions:
+    # every job is one design point or one seed: no bundling options
+    @pytest.mark.parametrize("argv", [
+        ["explore", "--batch", "--model", "Model1"],
+        ["sweep", "--lanes", "3", "--design", "Design1", "--model", "Model1"],
+        ["sweep", "--shards", "2", "--design", "Design1", "--model", "Model1"],
+    ])
+    def test_removed_bundling_options_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["-o", ""])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_no_cache_writes_no_entry(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        assert main(["sweep", "--design", "Design1", "--model", "Model1",
+                     "--cache", str(cache_dir), "--no-cache",
+                     "-o", ""]) == 0
+        assert not cache_dir.exists()

@@ -57,16 +57,7 @@ class TestGridOrder:
         assert [r.payload["value"] for r in results] == list(range(8))
 
     def test_process_order(self):
-        engine = ExecutionEngine(
-            executor=ProcessExecutor(workers=2, shard_size=1)
-        )
-        results = engine.run(self._jobs())
-        assert [r.payload["value"] for r in results] == list(range(8))
-
-    def test_sharded_process_order(self):
-        engine = ExecutionEngine(
-            executor=ProcessExecutor(workers=2, shard_size=3)
-        )
+        engine = ExecutionEngine(executor=ProcessExecutor(workers=2))
         results = engine.run(self._jobs())
         assert [r.payload["value"] for r in results] == list(range(8))
 

@@ -1,6 +1,5 @@
 """Tests for the multi-objective exploration campaign
-(:mod:`repro.experiments.explore` + the ``explore-cell`` /
-``explore-batch`` tasks)."""
+(:mod:`repro.experiments.explore` + the ``explore-cell`` task)."""
 
 import json
 
@@ -113,11 +112,6 @@ class TestRunExplore:
         del data["stop"]
         with pytest.raises(ReproError):
             validate_explore_report(data)
-
-    def test_batch_mode_is_byte_identical(self, campaign):
-        batched = run_explore(**SMALL, batch=True)
-        assert batched.render() == campaign.render()
-        assert batched.as_json() == campaign.as_json()
 
     def test_warm_cache_is_byte_identical(self, campaign, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))

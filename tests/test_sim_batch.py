@@ -298,9 +298,15 @@ class TestExecWiring:
             for key in ("refined_lines", "equivalent", "inputs", "steps"):
                 assert cell[key] == serial[key], key
 
-    def test_run_sweep_batched_table_is_byte_identical(self, medical_spec):
+    def test_run_sweep_batched_table_is_byte_identical(
+        self, medical_spec, monkeypatch
+    ):
+        from repro.exec import ExecutionEngine
+        from repro.experiments import sweep
         from repro.experiments.sweep import run_sweep
 
+        # two seeds per job, so the 3-seed grid spans two chunks
+        monkeypatch.setattr(sweep, "BATCH_LANES", 2)
         kwargs = dict(
             spec=medical_spec,
             designs=["Design1"],
@@ -308,7 +314,9 @@ class TestExecWiring:
             seeds=[0, 1, 2],
         )
         serial = run_sweep(**kwargs)
-        batched = run_sweep(batch=True, lanes=2, **kwargs)
+        engine = ExecutionEngine()
+        batched = run_sweep(batch=True, engine=engine, **kwargs)
+        assert engine.metrics.jobs == 4  # 2 models x 2 seed chunks
         assert batched.render() == serial.render()
         assert serial.kernel_counts() == {"compiled": 6}
         assert batched.kernel_counts() == {"batched": 6}
