@@ -66,7 +66,7 @@ print to stdout; engine/cache
 statistics print to stderr, so stdout stays byte-comparable across
 executors.  See ``docs/EXECUTION.md``.
 
-SIGINT/SIGTERM during a campaign is graceful: pool workers are
+SIGINT/SIGTERM during a campaign is graceful: worker processes are
 terminated, cache scratch files removed, a partial-campaign note goes
 to stderr, and the process exits 130 — never a raw traceback.
 """
@@ -152,9 +152,9 @@ def _add_exec_options(p) -> None:
     group.add_argument("--executor", choices=("serial", "process"),
                        default="serial",
                        help="job executor (default serial; process = "
-                            "multiprocessing pool)")
+                            "kept worker processes)")
     group.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="process-pool size (default: min(4, CPUs))")
+                       help="worker processes (default: min(4, CPUs))")
     group.add_argument("--job-timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="per-job wall-clock budget (process executor)")
@@ -165,7 +165,8 @@ def _add_exec_options(p) -> None:
     group.add_argument("--no-cache", action="store_true",
                        help="bypass the cache entirely")
     group.add_argument("--refresh", action="store_true",
-                       help="recompute every job but refill the cache")
+                       help="recompute every job but refill the cache "
+                            "(needs --cache)")
     group.add_argument("--journal", metavar="PATH", default=None,
                        help="append campaign/engine events to this JSONL "
                             "journal (see docs/OBSERVABILITY.md)")
@@ -214,7 +215,7 @@ def _campaign_guard(engine, command: str):
     """Graceful SIGINT/SIGTERM for a campaign command.
 
     SIGTERM is converted to :class:`KeyboardInterrupt` so both signals
-    take one path: terminate the engine's pool workers, remove cache
+    take one path: terminate the engine's worker processes, remove cache
     scratch files, print a partial-campaign note to stderr, and let
     :func:`main` exit 130 — never a raw traceback, never an orphaned
     worker or ``.tmp-*`` file.  A campaign that completes releases
@@ -1461,6 +1462,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "refresh", False) and (args.cache is None or args.no_cache):
+        # without a cache there is nothing to refresh: refuse rather
+        # than recompute and report "cache hits 0" as if it had worked
+        parser.error("--refresh needs a result cache: add --cache [DIR] "
+                     "and drop --no-cache")
     try:
         return args.handler(args)
     except ReproError as error:

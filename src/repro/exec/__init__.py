@@ -5,8 +5,8 @@ runs, ``repro sweep`` — are grids of independent jobs.  This package
 turns each grid into a declarative job list and runs it through:
 
 * a pluggable **executor** — ``serial`` (the reference) or ``process``
-  (a multiprocessing pool with per-job timeouts and graceful
-  degradation to serial on worker crash);
+  (kept worker processes on their own pipes, with per-job timeouts
+  and graceful degradation to serial on worker crash);
 * a **content-addressed result cache** keyed by SHA-256 over the
   canonical specification text, partition, model, protocol, seed and a
   code-version salt, so a warm re-run of an unchanged campaign costs

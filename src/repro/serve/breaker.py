@@ -1,9 +1,9 @@
 """Per-job circuit breaker: quarantine specs that crash workers.
 
 A job spec that SIGKILLs, segfaults or OOMs a worker process costs the
-server a pool recycle every time it is submitted.  Without protection,
-a client replaying such a spec in a retry loop turns the worker fleet
-into a fork bomb ("pool thrash").  The breaker gives each
+server a worker re-fork every time it is submitted.  Without
+protection, a client replaying such a spec in a retry loop turns the
+worker fleet into a fork bomb ("worker thrash").  The breaker gives each
 content-addressed job key a standard three-state circuit:
 
 ``closed``

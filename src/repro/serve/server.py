@@ -29,7 +29,7 @@ Robustness is the headline:
 * **circuit breaker** — specs that repeatedly crash workers are
   quarantined with a structured 503 (see
   :class:`repro.serve.breaker.CircuitBreaker`) instead of thrashing
-  the pool;
+  the workers;
 * **graceful drain** — SIGTERM/SIGINT stop admission (503
   ``draining``, readiness flips), let in-flight requests finish,
   flush cache scratch files, and exit 0.  Responses sent while

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -352,6 +354,25 @@ class TestEngineOptions:
             main(argv + ["-o", ""])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cache_flags", [[], ["--no-cache"],
+                                             ["--cache", "", "--no-cache"]])
+    def test_refresh_without_a_cache_is_a_usage_error(self, capsys,
+                                                      cache_flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--design", "Design1", "--model", "Model1",
+                  "--refresh", *cache_flags, "-o", ""])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--refresh" in err and "--cache" in err
+
+    def test_refresh_with_a_cache_recomputes(self, tmp_path, capsys):
+        argv = ["sweep", "--design", "Design1", "--model", "Model1",
+                "--cache", str(tmp_path / "cache"), "-o", ""]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--refresh"]) == 0
+        assert re.search(r"jobs executed +1", capsys.readouterr().err)
 
     def test_no_cache_writes_no_entry(self, tmp_path):
         cache_dir = tmp_path / "cache"

@@ -56,6 +56,26 @@ class TestGridOrder:
         results = ExecutionEngine(executor=SerialExecutor()).run(self._jobs())
         assert [r.payload["value"] for r in results] == list(range(8))
 
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_each_job_is_keyed_once_per_run(self, monkeypatch, tmp_path,
+                                            cached):
+        calls = []
+        key = Job.key
+
+        def spy(job, *args, **kwargs):
+            calls.append(job.params["value"])
+            return key(job, *args, **kwargs)
+
+        monkeypatch.setattr(Job, "key", spy)
+        cache = ResultCache(str(tmp_path)) if cached else None
+        engine = ExecutionEngine(executor=SerialExecutor(), cache=cache)
+        jobs = self._jobs()
+        for _ in range(2):  # cold, then (with a cache) warm
+            calls.clear()
+            results = engine.run(jobs)
+            assert sorted(calls) == list(range(8))
+            assert [r.key for r in results] == [key(j) for j in jobs]
+
     def test_process_order(self):
         engine = ExecutionEngine(executor=ProcessExecutor(workers=2))
         results = engine.run(self._jobs())
