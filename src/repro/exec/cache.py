@@ -62,7 +62,9 @@ def default_cache_dir() -> str:
 
 @dataclass
 class CacheStats:
-    """Cumulative counters of one :class:`ResultCache` instance."""
+    """Cumulative counters of one :class:`ResultCache` instance — the
+    only store of its events; every engine sharing the cache adds to
+    them (each engine counts its own lookups in its ``ExecMetrics``)."""
 
     hits: int = 0
     misses: int = 0
@@ -80,9 +82,6 @@ class CacheStats:
             "puts": self.puts,
             "write_errors": self.write_errors,
         }
-
-    def snapshot(self) -> "CacheStats":
-        return CacheStats(**self.as_dict())
 
 
 @dataclass

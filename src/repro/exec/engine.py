@@ -10,10 +10,12 @@ makes serial and parallel campaign reports byte-identical.
 
 Observability plugs into the existing layers:
 
-* an :class:`repro.sim.metrics.ExecMetrics` counts jobs, cache
-  hits/misses/evictions, failures and fallbacks — the same
+* an :class:`repro.sim.metrics.ExecMetrics` counts jobs, this
+  engine's own cache hits/misses, failures and fallbacks — the same
   :class:`repro.sim.metrics.Counters` bag as the kernel's
-  ``SimMetrics``, so both render through one ``describe``;
+  ``SimMetrics``, so both render through one ``describe``.  Events of
+  the whole cache (corrupt entries, evictions) stay in the cache's
+  :class:`repro.exec.cache.CacheStats`: engines may share a cache;
 * a :class:`repro.obs.trace.SpanTracer` receives one ``exec`` span per
   grid and one child span per job (cache hits included, flagged
   ``cached=True``), so ``repro sweep --trace`` / ``repro fuzz --trace``
@@ -49,8 +51,9 @@ class ExecutionEngine:
     """Runs job grids through a cache + executor pair.
 
     ``executor``
-        Any object with ``run(items) -> outcomes`` — see
-        :mod:`repro.exec.executors`.  Default: the serial reference.
+        Any object with ``run(items, timeout=, cancel=) -> outcomes``
+        — see :mod:`repro.exec.executors`.  Default: the serial
+        reference.
     ``cache``
         A :class:`repro.exec.cache.ResultCache`, or ``None`` to run
         uncached (the default — campaign drivers opt in).
@@ -131,11 +134,6 @@ class ExecutionEngine:
         results: List[Optional[JobResult]] = [None] * len(jobs)
         keys: List[str] = []
         pending: List[int] = []
-        # explicit None-check: ResultCache defines __len__, so an empty
-        # cache is falsy and a bare `if self.cache` would skip accounting
-        cache_before = (
-            self.cache.stats.snapshot() if self.cache is not None else None
-        )
 
         self.journal.emit(
             "grid-start", request_id=run_id, jobs=len(jobs),
@@ -158,6 +156,7 @@ class ExecutionEngine:
                         self.tracer.record_span(
                             job.describe(), 0.0, cached=True, **span_id
                         )
+                        self.metrics.cache_hits += 1
                         self._cache_total.labels("hit").inc()
                         self._jobs_total.labels("ok").inc()
                         self.journal.emit(
@@ -165,16 +164,17 @@ class ExecutionEngine:
                             task=job.task, key=key,
                         )
                         continue
+                    self.metrics.cache_misses += 1
                     self._cache_total.labels("miss").inc()
                 pending.append(index)
 
             degraded_before = getattr(self.executor, "degraded", 0)
             retries_before = getattr(self.executor, "retries", 0)
             if pending:
-                outcomes = self._dispatch(
+                outcomes = self.executor.run(
                     [(jobs[i].task, jobs[i].params) for i in pending],
-                    timeout,
-                    cancel,
+                    timeout=timeout,
+                    cancel=cancel,
                 )
                 for index, outcome in zip(pending, outcomes):
                     job = jobs[index]
@@ -203,8 +203,7 @@ class ExecutionEngine:
 
             done = [r for r in results if r is not None]
             self._account(
-                jobs, done, cache_before, grid_span,
-                degraded_before, retries_before,
+                jobs, done, grid_span, degraded_before, retries_before
             )
         self.journal.emit(
             "grid-complete", request_id=run_id, jobs=len(jobs),
@@ -216,22 +215,6 @@ class ExecutionEngine:
         )
         self.metrics.wall_seconds += time.perf_counter() - started
         return done
-
-    def _dispatch(self, items, timeout, cancel):
-        """Hand the cache misses to the executor, forwarding the
-        per-call ``timeout``/``cancel`` overrides only when given —
-        custom executors with a plain ``run(items)`` keep working."""
-        if timeout is None and cancel is None:
-            return self.executor.run(items)
-        try:
-            return self.executor.run(items, timeout=timeout, cancel=cancel)
-        except TypeError:
-            import inspect
-
-            parameters = inspect.signature(self.executor.run).parameters
-            if "timeout" in parameters or "cancel" in parameters:
-                raise  # genuine TypeError from inside the executor
-            return self.executor.run(items)
 
     def release(self) -> None:
         """Kill and reap the executor's worker processes, if it keeps
@@ -253,8 +236,7 @@ class ExecutionEngine:
     # -- bookkeeping ---------------------------------------------------------
 
     def _account(
-        self, jobs, results, cache_before, grid_span,
-        degraded_before, retries_before,
+        self, jobs, results, grid_span, degraded_before, retries_before
     ) -> None:
         hits = sum(1 for r in results if r.cached)
         failed = sum(1 for r in results if not r.ok)
@@ -274,18 +256,17 @@ class ExecutionEngine:
         self.metrics.retries += (
             getattr(self.executor, "retries", 0) - retries_before
         )
-        if cache_before is not None:
-            after = self.cache.stats
-            self.metrics.cache_hits += after.hits - cache_before.hits
-            self.metrics.cache_misses += after.misses - cache_before.misses
-            self.metrics.cache_errors += after.errors - cache_before.errors
-            self.metrics.cache_evictions += (
-                after.evictions - cache_before.evictions
-            )
         grid_span.set("cache_hits", hits)
         grid_span.set("executed", executed)
         grid_span.set("failed", failed)
 
     def describe(self) -> str:
-        """The engine's cumulative counters (for CLI stderr summaries)."""
-        return self.metrics.describe()
+        """The engine's cumulative counters (for CLI stderr summaries),
+        plus the cache-wide events of its cache, if it has one."""
+        if self.cache is None:
+            return self.metrics.describe()
+        stats = self.cache.stats
+        return self.metrics.describe((
+            ("cache entries discarded", stats.errors),
+            ("cache evictions", stats.evictions),
+        ))

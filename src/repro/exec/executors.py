@@ -186,8 +186,9 @@ class ProcessExecutor:
 
     Each worker is forked on first use and kept across runs (see the
     module docstring for what replaces one); call :meth:`terminate` to
-    release them.  ``degraded``/``timeouts``/``retries``/``restarts``
-    accumulate over runs for the engine's metrics.
+    release them.  ``degraded``/``retries``/``restarts`` accumulate
+    over runs for the engine's metrics (the engine counts timeouts
+    itself, from the outcomes).
     """
 
     name = "process"
@@ -197,7 +198,6 @@ class ProcessExecutor:
         workers: Optional[int] = None,
         timeout: Optional[float] = None,
         serial_fallback: bool = True,
-        mp_context: Optional[str] = None,
     ):
         if workers is None:
             workers = min(4, _available_cpus())
@@ -206,9 +206,7 @@ class ProcessExecutor:
         self.workers = workers
         self.timeout = timeout
         self.serial_fallback = serial_fallback
-        self._mp_context = mp_context
         self.degraded = 0
-        self.timeouts = 0
         self.retries = 0
         self.restarts = 0
         #: one kept worker (or None) per slot, guarded by the lock,
@@ -220,8 +218,6 @@ class ProcessExecutor:
     # -- worker lifecycle ------------------------------------------------------
 
     def _context(self):
-        if self._mp_context is not None:
-            return multiprocessing.get_context(self._mp_context)
         try:
             # fork keeps worker start-up to milliseconds and inherits
             # the task registry as it stands at the fork (tests
@@ -374,7 +370,6 @@ class ProcessExecutor:
             elif worker.process.sentinel not in ready:
                 if deadline is None or now < deadline:
                     continue
-                self.timeouts += 1
                 outcomes[index] = {
                     "error": _structured_error(
                         "timeout", None, f"job exceeded its {timeout}s budget"
@@ -424,10 +419,8 @@ def _available_cpus() -> int:
 
 
 def resolve_executor(name: str, **options):
-    """``"serial"`` / ``"process"`` (or an executor instance) to an
-    executor object; keyword options feed the constructor."""
-    if hasattr(name, "run"):
-        return name
+    """``"serial"`` / ``"process"`` to an executor object; keyword
+    options feed the constructor."""
     if name == "serial":
         return SerialExecutor()
     if name == "process":

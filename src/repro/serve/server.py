@@ -110,6 +110,7 @@ from repro.obs.metrics import (
 from repro.obs.stats import Ewma
 from repro.obs.trace import SpanTracer
 from repro.serve.breaker import CircuitBreaker
+from repro.sim.metrics import Counters
 
 __all__ = [
     "ERROR_STATUS",
@@ -195,42 +196,38 @@ class ServeConfig:
     flight_capacity: int = 512
 
 
-class ServeMetrics:
-    """The serving layer's own counters (engine counters live in each
-    slot's :class:`repro.sim.metrics.ExecMetrics`).  All mutation
-    happens under the server lock."""
+class ServeMetrics(Counters):
+    """The serving layer's own counters, on the shared
+    :class:`repro.sim.metrics.Counters` bag (engine counters live in
+    each slot's :class:`repro.sim.metrics.ExecMetrics`).  ``errors``
+    (completed requests that failed) and ``rejected`` (refused at
+    admission) are per-kind tallies.  The service-time EWMA is no
+    counter: it is the input to ``Retry-After``.  All mutation happens
+    under the server lock."""
 
-    __slots__ = (
-        "requests",
-        "ok",
-        "cached",
-        "errors",
-        "rejected",
-        "queue_depth",
-        "in_flight",
-        "peak_queue_depth",
-        "peak_in_flight",
-        "_service_ewma",
-        "started_at",
+    FIELDS = (
+        ("requests", "requests"),
+        ("ok", "requests ok"),
+        ("cached", "requests served from cache"),
+        ("errors", "errors by kind"),
+        ("rejected", "rejections by kind"),
+        ("queue_depth", "queue depth"),
+        ("in_flight", "in flight"),
+        ("peak_queue_depth", "peak queue depth"),
+        ("peak_in_flight", "peak in flight"),
+    )
+    TALLIES = frozenset({"errors", "rejected"})
+    __slots__ = tuple(name for name, _ in FIELDS) + (
+        "_service_ewma", "started_at",
     )
 
     #: EWMA smoothing factor for observed service time.
     ALPHA = 0.3
 
     def __init__(self):
-        self.requests = 0
-        self.ok = 0
-        self.cached = 0
-        #: error kind -> count (completed requests that failed)
-        self.errors: Dict[str, int] = {}
-        #: error kind -> count (requests refused at admission)
-        self.rejected: Dict[str, int] = {}
-        self.queue_depth = 0
-        self.in_flight = 0
-        self.peak_queue_depth = 0
-        self.peak_in_flight = 0
         self._service_ewma = Ewma(alpha=self.ALPHA)
         self.started_at = time.monotonic()
+        super().__init__()
 
     @property
     def ewma_service_seconds(self) -> float:
@@ -240,23 +237,14 @@ class ServeMetrics:
         self._service_ewma.update(seconds)
 
     def count_error(self, kind: str, rejected: bool) -> None:
-        bucket = self.rejected if rejected else self.errors
-        bucket[kind] = bucket.get(kind, 0) + 1
+        self.tally("rejected" if rejected else "errors", kind)
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "requests": self.requests,
-            "ok": self.ok,
-            "cached": self.cached,
-            "errors": dict(sorted(self.errors.items())),
-            "rejected": dict(sorted(self.rejected.items())),
-            "queue_depth": self.queue_depth,
-            "in_flight": self.in_flight,
-            "peak_queue_depth": self.peak_queue_depth,
-            "peak_in_flight": self.peak_in_flight,
-            "ewma_service_seconds": round(self.ewma_service_seconds, 6),
-            "uptime_seconds": round(time.monotonic() - self.started_at, 3),
-        }
+        out = super().as_dict()
+        del out["wall_seconds"]  # the daemon reports uptime instead
+        out["ewma_service_seconds"] = round(self.ewma_service_seconds, 6)
+        out["uptime_seconds"] = round(time.monotonic() - self.started_at, 3)
+        return out
 
 
 class _Slot:

