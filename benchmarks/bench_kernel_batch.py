@@ -9,7 +9,7 @@ medical grid with ``LANES`` seeds per cell, two ways:
 * ``batched`` — the ``batch-cell`` path: refine once per cell, then
   :func:`check_equivalence_batch` runs every seed through one reused
   :class:`BatchSimulator` pair (original + refined).  Each pair wraps
-  one :class:`Simulator` whose compiled closures persist across
+  one :class:`Simulator` whose generated body functions persist across
   ``run()`` calls, so compilation is paid once per cell, not per seed.
 
 Before timing, every seed's outputs, traces, steps and equivalence

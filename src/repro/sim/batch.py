@@ -1,14 +1,14 @@
 """Many stimulus vectors through one compiled specification.
 
 The exec engine and the serve daemon schedule thousands of (design,
-model, seed) cells.  Each cell pays for refinement, for compiling every
-statement into closures, and for the run itself.  Across the seeds of
+model, seed) cells.  Each cell pays for refinement, for generating every
+statement body's function, and for the run itself.  Across the seeds of
 one (design, model, protocol) family only the stimulus differs, so the
 first two costs can be paid once.
 
 :class:`BatchSimulator` does exactly that.  It owns one
-:class:`repro.sim.interpreter.Simulator`, whose expression and
-statement closure caches persist across runs, and calls
+:class:`repro.sim.interpreter.Simulator`, whose generated body
+functions and expression closures persist across runs, and calls
 :meth:`Simulator.run` once per stimulus.  ``run()`` resets all per-run
 state (kernel, frames, trace), so each stimulus's outputs, output
 trace, step count, simulated time and error text are exactly what a
@@ -87,7 +87,7 @@ class BatchSimulator:
     fault injection): ``cost_fn`` and ``probe`` instrument every run,
     ``time_unit`` scales ``wait for`` delays, ``compile_cache=False``
     selects the reference tree walker.  One instance may run many
-    batches; compiled closures persist across them.
+    batches; its generated code persists across them.
     """
 
     #: kernel-variant tag reported by results produced here

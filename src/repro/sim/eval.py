@@ -15,7 +15,12 @@ Two evaluation strategies share these semantics:
   repeated activations of the same statement skip all dispatch.  The
   interpreter uses a per-:class:`~repro.sim.interpreter.Simulator`
   compiler by default; the two strategies are equivalence-tested
-  against each other.
+  against each other.  The generated statement bodies of
+  :mod:`repro.sim.codegen` inline the hottest shapes (pure-signal
+  reads, constants, ``=``/``/=``, ``and``/``or``/``not``, comparisons
+  and ``+ - *`` against an int constant) and call these closures for
+  every other node — variable reads, indexing, division, ``mod``,
+  negation — and for every variable store.
 
 Semantics follow the VHDL subset: ``/`` truncates toward zero, ``mod``
 follows the right operand's sign (Python's ``%``), comparisons other
@@ -39,7 +44,6 @@ __all__ = [
     "Frame",
     "Env",
     "ExprCompiler",
-    "SignalExprCompiler",
     "evaluate",
     "truthy",
 ]
@@ -612,79 +616,3 @@ class ExprCompiler:
 
             return modulo
         return self._raiser(f"runtime: unknown binary operator {op!r}")
-
-
-class SignalExprCompiler(ExprCompiler):
-    """Compiles expressions whose free names are all pure signals.
-
-    The closures take the kernel's signal dict itself instead of an
-    :class:`Env` — the form of a wait predicate shared by every scope
-    and every run of one simulator.  Chains of ``or``/``and`` over
-    structurally boolean operands flatten into one loop, and
-    ``signal = constant`` terms into one dict probe each, so the
-    arbiter's many-way request test costs one call.
-    """
-
-    __slots__ = ()
-
-    def _build_varref(self, expr: VarRef) -> CompiledExpr:
-        name = expr.name
-        return lambda signals: signals[name]
-
-    def _build_binop(self, expr: BinOp) -> CompiledExpr:
-        op = expr.op
-        if op in ("=", "/=") and _signal_equals_const(expr):
-            name, value = expr.left.name, expr.right.value
-            if op == "=":
-                return lambda signals: signals[name] == value
-            return lambda signals: signals[name] != value
-        if op not in ("and", "or"):
-            return super()._build_binop(expr)
-        terms = _flatten(expr, op)
-        if len(terms) < 3 or not all(_static_bool(term) for term in terms):
-            return super()._build_binop(expr)
-        # every term is a Python bool, so ``or`` is "the first true
-        # term" and ``and`` "no false term" — evaluated left to right
-        # with the same short circuit as the nested closures
-        stop = op == "or"
-        if all(_signal_equals_const(term) for term in terms):
-            # a term stops the chain when ``signal == value`` comes out
-            # as ``stopping``: true for an ``or`` of ``=``, false for an
-            # ``and`` of ``=``, and the reverse for ``/=``
-            tests = tuple(
-                (term.left.name, term.right.value, (term.op == "=") is stop)
-                for term in terms
-            )
-
-            def chain_equals(signals):
-                for name, value, stopping in tests:
-                    if (signals[name] == value) is stopping:
-                        return stop
-                return not stop
-
-            return chain_equals
-        fns = tuple(self.compile(term) for term in terms)
-
-        def chain(signals):
-            for fn in fns:
-                if fn(signals) is stop:
-                    return stop
-            return not stop
-
-        return chain
-
-
-def _signal_equals_const(expr: Expr) -> bool:
-    return (
-        isinstance(expr, BinOp)
-        and expr.op in ("=", "/=")
-        and isinstance(expr.left, VarRef)
-        and isinstance(expr.right, Const)
-    )
-
-
-def _flatten(expr: Expr, op: str) -> List[Expr]:
-    """The operands of a left-to-right chain of ``op``."""
-    if isinstance(expr, BinOp) and expr.op == op:
-        return _flatten(expr.left, op) + _flatten(expr.right, op)
-    return [expr]

@@ -31,12 +31,14 @@ Execution strategies
 
 The interpreter has two paths over the same IR:
 
-* the **compiled fast path** (default, ``compile_cache=True``): every
-  statement and expression node is compiled *once* into a Python
-  closure, cached by node identity for the life of the simulator.
-  Statement subtrees that cannot suspend (no ``wait``, no subprogram
-  call) and carry no instrumentation collapse into plain function
-  calls — no generator frame per statement.
+* the **compiled fast path** (default, ``compile_cache=True``): each
+  statement body is generated *once* as one Python function
+  (:mod:`repro.sim.codegen`) — a leaf body, a subprogram, a static
+  wait predicate — with control flow as Python control flow and the
+  hot expression shapes inlined; the other expression nodes and every
+  variable store call :class:`ExprCompiler` closures.  Functions are
+  cached for the life of the simulator; their code objects are shared
+  across simulators and structurally identical bodies.
 * the **reference tree walker** (``compile_cache=False``): the
   historical re-dispatching interpreter, kept as the semantic oracle —
   the equivalence suite runs both paths and compares traces.  It
@@ -50,38 +52,30 @@ What the compiled path resolves at compile time, once per simulator:
   the spec; they resolve to the kernel's signal store in every scope,
   so reads of them are direct store reads;
 * **static waits** — a ``wait until`` over pure signals only is one
-  :class:`WaitCondition` per statement (fixed sensitivity, predicate
-  over the current run's signal store), and ``wait for N`` one
-  :class:`WaitDelay`; bodies yield these requests inline;
+  :class:`WaitCondition` per statement (fixed sensitivity, generated
+  predicate over the current run's signal store), and ``wait for N``
+  one :class:`WaitDelay`; bodies yield these requests inline;
 * **signal dtypes**, and the coerced value of a constant signal
-  assignment (a constant that does not fit raises when the statement
-  executes, as on the walker).
+  assignment or call argument (a constant that does not fit raises
+  when the statement executes, as on the walker).
 
 What stays per env: a ``wait until`` naming a shadowed name (its
 sensitivity depends on the scope), ``wait on`` snapshots, and the
 binding frame of each variable (memoised per :class:`Env`, shared by
 reads, writes and subprogram copy-out).
 
-When a ``cost_fn`` or ``probe`` is attached, compiled statements are
-wrapped so every execution still charges time and fires the probe; the
-closure cache then saves dispatch, not instrumentation.
+When a ``cost_fn`` or ``probe`` is attached, the generated bodies
+charge time and fire the probe before every statement, in the
+walker's order.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.errors import SimulationError, TypeMismatchError
-from repro.sim.eval import (
-    Env,
-    ExprCompiler,
-    Frame,
-    SignalExprCompiler,
-    _static_bool,
-    evaluate,
-    truthy,
-)
+from repro.errors import SimulationError
+from repro.sim.codegen import BodyCompiler
+from repro.sim.eval import Env, ExprCompiler, Frame, evaluate, truthy
 from repro.sim.kernel import (
     Join,
     Kernel,
@@ -91,7 +85,7 @@ from repro.sim.kernel import (
     WaitDelay,
 )
 from repro.spec.behavior import Behavior, CompositeBehavior, LeafBehavior
-from repro.spec.expr import Const, Expr, Index, VarRef, free_variables
+from repro.spec.expr import Expr, Index, VarRef, free_variables
 from repro.spec.specification import Specification
 from repro.spec.stmt import (
     Assign,
@@ -106,7 +100,6 @@ from repro.spec.stmt import (
     While,
 )
 from repro.spec.subprogram import Direction
-from repro.spec.types import BitVectorType, DataType, IntType
 from repro.spec.variable import Role, StorageClass
 from repro.spec.visitor import walk_statements
 
@@ -122,10 +115,6 @@ __all__ = [
 #: scenarios expressed in protocol ticks must be multiplied by
 #: (:meth:`repro.sim.faults.FaultScenario.scaled`).
 DEFAULT_TIME_UNIT = 1e-9
-
-#: Kinds of compiled statement (see the compiled fast path below).
-_PLAIN, _GEN, _REQUEST = range(3)
-
 
 class Probe:
     """Observer interface for profiling; all callbacks optional."""
@@ -237,11 +226,11 @@ class SimulationResult:
 
 
 class _RunState:
-    """What each :meth:`Simulator.run` rebuilds, as the compiled
-    closures see it.
+    """What each :meth:`Simulator.run` rebuilds, as the generated
+    functions and closures see it.
 
-    Closures bind this object instead of the simulator, so a simulator
-    is not part of a reference cycle through its own closure cache, and
+    They bind this object instead of the simulator, so a simulator is
+    not part of a reference cycle through its own generated code, and
     :meth:`Simulator.run` clears the run's references when the run ends.
     """
 
@@ -249,6 +238,8 @@ class _RunState:
         "kernel",
         "signals",
         "global_frame",
+        "frames",
+        "scoped_waits",
         "trace",
         "trace_step",
         "behavior",
@@ -261,10 +252,28 @@ class _RunState:
         self.behavior = ""
 
     def clear(self) -> None:
+        #: the run's kernel (wait predicates hand this state to the
+        #: closures they call as their env: over pure signals, a closure
+        #: reads only ``env.kernel``'s signal store)
         self.kernel: Optional[Kernel] = None
         #: the kernel's signal store (static wait predicates read it)
         self.signals: Optional[Dict[str, object]] = None
         self.global_frame: Optional[Frame] = None
+        #: behavior name -> its latest frame (the run's result frames)
+        self.frames: Dict[str, Frame] = {}
+        #: the run's per-env wait requests (each memoised on its env,
+        #: whose predicate closes over that env: a cycle until dropped)
+        self.scoped_waits: List[WaitCondition] = []
+
+    def enter(self, behavior: Behavior, env: Env) -> Env:
+        """The env of one activation of ``behavior``: a fresh frame of
+        its variables (signals excepted), registered as its latest."""
+        frame = Frame(behavior.name)
+        for decl in behavior.decls:
+            if decl.kind is not StorageClass.SIGNAL:
+                frame.declare(decl)
+        self.frames[behavior.name] = frame
+        return env.child(frame)
 
     def observe_write(self, name: str, env: Env) -> None:
         """Record a write of output ``name`` in the run's trace."""
@@ -288,10 +297,11 @@ class Simulator:
         Seconds represented by one ``wait for 1`` delay (refined
         protocol strobes use small integer delays); default 1e-9.
     compile_cache:
-        Use the compiled fast path (statements/expressions closed into
-        Python closures once, keyed by node identity).  ``False``
-        selects the reference tree walker; results are identical —
-        the flag exists for benchmarking and differential testing.
+        Use the compiled fast path (each statement body generated once
+        as one Python function, other expression nodes closed into
+        closures, keyed by node identity).  ``False`` selects the
+        reference tree walker; results are identical — the flag exists
+        for benchmarking and differential testing.
     """
 
     def __init__(
@@ -320,19 +330,21 @@ class Simulator:
         #: signals that resolve to the kernel's store in every scope
         self._pure_signals = _pure_signal_names(spec)
         self._current_behavior = ""
-        #: True when every statement must charge time / fire the probe
-        self._instrumented = cost_fn is not None or probe is not None
-        #: expression compiler (shared by both instrumentation modes)
+        #: expression closures (transition conditions, and the nodes
+        #: generated bodies do not inline)
         self._expr = ExprCompiler(self._pure_signals)
-        #: compiler of static wait predicates (over the signal store)
-        self._signal_expr = SignalExprCompiler()
-        #: id(stmt) -> (stmt, kind, fn) — compiled statements
-        self._stmt_cache: Dict[int, Tuple[Stmt, int, object]] = {}
-        #: id(body) -> (body, kind, fn) — compiled statement sequences
-        self._body_cache: Dict[int, Tuple[tuple, int, object]] = {}
-        #: callee name -> [(kind, fn)] of its compiled body; empty while
-        #: the body is being compiled (a recursive call)
-        self._callee_bodies: Dict[str, list] = {}
+        #: generated statement-body functions (see repro.sim.codegen)
+        self._bodies = BodyCompiler(
+            spec,
+            self._expr,
+            self._state,
+            self._pure_signals,
+            self._signal_types,
+            frozenset(self._output_names),
+            time_unit,
+            cost_fn=cost_fn,
+            probe=probe,
+        )
 
     # -- public API -----------------------------------------------------------
 
@@ -396,6 +408,7 @@ class Simulator:
         state.kernel = kernel
         state.signals = kernel._signals
         state.global_frame = global_frame
+        state.frames = self._frames
         state.trace = []
         state.trace_step = 0
         state.behavior = ""
@@ -419,8 +432,20 @@ class Simulator:
             # that a finished simulator and its kernel are freed by
             # reference counting rather than the cyclic collector.
             # blocked()/blocked_report() read only Process fields.
+            # A request built per env (scoped ``wait until``, ``wait
+            # on``, every walker wait) is never reused: drop its
+            # predicate, which holds its env — and the kernel through
+            # it — in a cycle with the env's memo or with the process
+            # still blocked on it.  Static requests live as long as the
+            # simulator.
+            static = self._bodies.static_requests
             for process in kernel._processes:
                 process.generator.close()
+                request = process._waiting_on
+                if type(request) is WaitCondition and request not in static:
+                    request.predicate = None
+            for request in state.scoped_waits:
+                request.predicate = None
             self._kernel = None
             state.clear()
         return SimulationResult(
@@ -451,44 +476,57 @@ class Simulator:
 
     # -- behaviors ---------------------------------------------------------------
 
-    def _behavior_frame(self, behavior: Behavior) -> Frame:
-        frame = Frame(behavior.name)
-        for decl in behavior.decls:
-            if decl.kind is not StorageClass.SIGNAL:
-                frame.declare(decl)
-        self._frames[behavior.name] = frame
-        return frame
-
     def _run_behavior(self, behavior: Behavior, env: Env) -> Iterator:
+        """The process steps of one activation of ``behavior``.
+
+        Each step sequence enters the behavior (creates and registers its
+        frame) when it first runs, not when it is built: a process killed
+        before its first activation leaves no frame.  On the compiled path
+        without a probe (nothing to report when the activation starts and
+        ends), a composite's sequencer and a leaf's suspending function
+        are the activation itself, so a resumed process passes no wrapper
+        generator per behavior level."""
+        if not self.compile_cache or self.probe is not None:
+            return self._activation(behavior, env)
+        if isinstance(behavior, CompositeBehavior):
+            if behavior.is_sequential:
+                return self._run_sequential(behavior, env)
+            return self._run_concurrent(behavior, env)
+        if isinstance(behavior, LeafBehavior):
+            suspends, leaf = self._bodies.leaf(behavior)
+            if suspends:
+                return leaf(behavior.name, env)
+        return self._activation(behavior, env)
+
+    def _activation(self, behavior: Behavior, env: Env) -> Iterator:
         kernel = self._kernel
-        frame = self._behavior_frame(behavior)
-        inner = env.child(frame)
         if self.probe is not None:
             self.probe.on_behavior_start(behavior.name, kernel.now)
         if isinstance(behavior, LeafBehavior):
             if self.compile_cache:
-                kind, fn = self._compiled_body(behavior.stmt_body)
-                if kind == _PLAIN:
-                    fn(behavior.name, inner)
-                elif kind == _REQUEST:
-                    yield fn
+                suspends, leaf = self._bodies.leaf(behavior)
+                if suspends:
+                    yield from leaf(behavior.name, env)
                 else:
-                    yield from fn(behavior.name, inner)
+                    leaf(behavior.name, env)
             else:
                 yield from self._exec_body(
-                    behavior.stmt_body, behavior.name, inner
+                    behavior.stmt_body,
+                    behavior.name,
+                    self._state.enter(behavior, env),
                 )
         elif isinstance(behavior, CompositeBehavior):
             if behavior.is_sequential:
-                yield from self._run_sequential(behavior, inner)
+                yield from self._run_sequential(behavior, env)
             else:
-                yield from self._run_concurrent(behavior, inner)
+                yield from self._run_concurrent(behavior, env)
         else:
             raise SimulationError(f"unknown behavior type {behavior!r}")
         if self.probe is not None:
             self.probe.on_behavior_end(behavior.name, kernel.now)
 
     def _run_sequential(self, behavior: CompositeBehavior, env: Env) -> Iterator:
+        env = self._state.enter(behavior, env)
         current = behavior.initial
         while True:
             child = behavior.child(current)
@@ -511,6 +549,7 @@ class Simulator:
             current = chosen.target
 
     def _run_concurrent(self, behavior: CompositeBehavior, env: Env) -> Iterator:
+        env = self._state.enter(behavior, env)
         kernel = self._kernel
         waited: List[Process] = []
         for child in behavior.subs:
@@ -664,531 +703,6 @@ class Simulator:
         for param, arg in zip(callee.params, stmt.args):
             if param.direction in (Direction.OUT, Direction.INOUT):
                 self._do_assign(arg, frame.read(param.name), behavior, env)
-
-    # -- the compiled fast path --------------------------------------------------
-    #
-    # Each statement compiles once into a ``(kind, fn)`` pair: a *plain*
-    # closure ``fn(behavior, env) -> None`` (the subtree cannot
-    # suspend: no Wait, no CallStmt, no instrumentation), a *generator*
-    # closure ``fn(behavior, env) -> Iterator`` yielding kernel
-    # requests, or a constant *request* (a static wait) that the
-    # enclosing body yields itself.  Plain spans and requests execute
-    # without a generator frame per statement — the bulk of the
-    # interpreter's historical dispatch cost.  Caches are keyed by node
-    # identity and keep a strong reference to the node, so ids cannot
-    # be recycled while the simulator lives.  Closures bind the
-    # simulator's :class:`_RunState`, never the simulator itself.
-
-    def _compiled_stmt(self, stmt: Stmt) -> Tuple[int, object]:
-        key = id(stmt)
-        hit = self._stmt_cache.get(key)
-        if hit is not None and hit[0] is stmt:
-            return hit[1], hit[2]
-        kind, fn = self._build_stmt(stmt)
-        if self._instrumented:
-            kind, fn = _GEN, self._instrument(stmt, kind, fn)
-        self._stmt_cache[key] = (stmt, kind, fn)
-        return kind, fn
-
-    def _instrument(self, stmt: Stmt, kind: int, fn) -> Callable:
-        """Wrap a compiled statement so each execution charges time and
-        fires the probe (mirrors the reference path's ``_charge``)."""
-        cost_fn = self.cost_fn
-        probe = self.probe
-        state = self._state
-
-        def run(behavior: str, env: Env) -> Iterator:
-            state.behavior = behavior
-            cost = 0.0
-            if cost_fn is not None:
-                cost = cost_fn(behavior, stmt)
-            if probe is not None:
-                probe.on_statement(behavior, stmt, cost)
-            if cost > 0:
-                yield WaitDelay(cost)
-            if kind == _PLAIN:
-                fn(behavior, env)
-            elif kind == _REQUEST:
-                yield fn
-            else:
-                yield from fn(behavior, env)
-
-        return run
-
-    def _compiled_body(self, body: Body) -> Tuple[int, object]:
-        key = id(body)
-        hit = self._body_cache.get(key)
-        if hit is not None and hit[0] is body:
-            return hit[1], hit[2]
-        steps = tuple(self._compiled_stmt(stmt) for stmt in body)
-        if len(steps) == 1:
-            # single-statement body: reuse its closure (or request)
-            # directly — no wrapper frame per execution
-            kind, fn = steps[0]
-        elif all(kind == _PLAIN for kind, _ in steps):
-            fns = tuple(fn for _, fn in steps)
-
-            def run_plain(behavior: str, env: Env) -> None:
-                for step in fns:
-                    step(behavior, env)
-
-            kind, fn = _PLAIN, run_plain
-        else:
-
-            def run_gen(behavior: str, env: Env) -> Iterator:
-                for step_kind, step in steps:
-                    if step_kind == _PLAIN:
-                        step(behavior, env)
-                    elif step_kind == _REQUEST:
-                        yield step
-                    else:
-                        yield from step(behavior, env)
-
-            kind, fn = _GEN, run_gen
-        self._body_cache[key] = (body, kind, fn)
-        return kind, fn
-
-    @staticmethod
-    def _raising(message: str) -> Callable:
-        def fail(behavior: str, env: Env) -> None:
-            raise SimulationError(message)
-
-        return fail
-
-    def _build_stmt(self, stmt: Stmt) -> Tuple[int, object]:
-        if isinstance(stmt, Assign):
-            return self._build_assign(stmt)
-        if isinstance(stmt, SignalAssign):
-            return self._build_signal_assign(stmt)
-        if isinstance(stmt, If):
-            return self._build_if(stmt)
-        if isinstance(stmt, While):
-            return self._build_while(stmt)
-        if isinstance(stmt, For):
-            return self._build_for(stmt)
-        if isinstance(stmt, Wait):
-            return self._build_wait(stmt)
-        if isinstance(stmt, CallStmt):
-            return self._build_call(stmt)
-        if isinstance(stmt, Null):
-            return _PLAIN, lambda behavior, env: None
-        return _PLAIN, self._raising(f"unknown statement {stmt!r}")
-
-    def _compile_store(self, target: Expr) -> Callable[[Env, object], None]:
-        """``store(env, value)``: the reference path's ``_do_assign``,
-        output-trace recording included."""
-        store = self._expr.compile_store(target)
-        if store is None:
-            message = f"invalid assignment target {target}"
-
-            def invalid(env: Env, value) -> None:
-                raise SimulationError(message)
-
-            return invalid
-        name = target.name if isinstance(target, VarRef) else target.base.name
-        if name not in self._output_names:
-            return store
-        observe = self._state.observe_write
-
-        def store_observed(env: Env, value) -> None:
-            store(env, value)
-            observe(name, env)
-
-        return store_observed
-
-    def _build_assign(self, stmt: Assign) -> Tuple[int, Callable]:
-        store = self._compile_store(stmt.target)
-        value_fn = self._expr.compile(stmt.value)
-
-        def run(behavior: str, env: Env) -> None:
-            store(env, value_fn(env))
-
-        return _PLAIN, run
-
-    def _build_signal_assign(self, stmt: SignalAssign) -> Tuple[int, Callable]:
-        target = stmt.target
-        if not isinstance(target, VarRef):
-            return _PLAIN, self._raising(
-                f"signal assignment target must be a signal name, got {target}"
-            )
-        name = target.name
-        dtype = self._signal_types.get(name)
-        if isinstance(stmt.value, Const):
-            value = stmt.value.value
-            if dtype is not None:
-                try:
-                    value = dtype.coerce(value)
-                except TypeMismatchError as exc:
-                    # a constant that does not fit fails when the
-                    # statement executes, exactly as on the reference path
-                    error_type, args = type(exc), exc.args
-
-                    def misfit(behavior: str, env: Env) -> None:
-                        raise error_type(*args)
-
-                    return _PLAIN, misfit
-
-            def run_const(behavior: str, env: Env) -> None:
-                env.kernel.write_signal(name, value)
-
-            return _PLAIN, run_const
-        value_fn = self._expr.compile(stmt.value)
-        if dtype is None:
-
-            def run_untyped(behavior: str, env: Env) -> None:
-                env.kernel.write_signal(name, value_fn(env))
-
-            return _PLAIN, run_untyped
-        coerce = dtype.coerce
-        low, high = _int_range(dtype)
-
-        def run(behavior: str, env: Env) -> None:
-            value = value_fn(env)
-            if type(value) is not int or not low <= value <= high:
-                value = coerce(value)
-            env.kernel.write_signal(name, value)
-
-        return _PLAIN, run
-
-    def _condition(self, expr: Expr) -> Callable[[Env], bool]:
-        """A compiled condition: ``truthy`` is skipped for structurally
-        boolean expressions, where it is the identity."""
-        fn = self._expr.compile(expr)
-        if _static_bool(expr):
-            return fn
-        return lambda env: truthy(fn(env))
-
-    def _build_if(self, stmt: If) -> Tuple[int, Callable]:
-        cond_fn = self._condition(stmt.cond)
-        then = self._compiled_body(stmt.then_body)
-        elifs = tuple(
-            (self._condition(cond), self._compiled_body(arm))
-            for cond, arm in stmt.elifs
-        )
-        orelse = self._compiled_body(stmt.else_body)
-        if then[0] == orelse[0] == _PLAIN and all(
-            arm[0] == _PLAIN for _, arm in elifs
-        ):
-            then_fn = then[1]
-            else_fn = orelse[1]
-            arms = tuple((arm_cond, arm[1]) for arm_cond, arm in elifs)
-
-            def run(behavior: str, env: Env) -> None:
-                if cond_fn(env):
-                    then_fn(behavior, env)
-                    return
-                for arm_cond, arm_fn in arms:
-                    if arm_cond(env):
-                        arm_fn(behavior, env)
-                        return
-                else_fn(behavior, env)
-
-            return _PLAIN, run
-
-        def run_gen(behavior: str, env: Env) -> Iterator:
-            if cond_fn(env):
-                kind, fn = then
-            else:
-                for arm_cond, arm in elifs:
-                    if arm_cond(env):
-                        kind, fn = arm
-                        break
-                else:
-                    kind, fn = orelse
-            if kind == _PLAIN:
-                fn(behavior, env)
-            elif kind == _REQUEST:
-                yield fn
-            else:
-                yield from fn(behavior, env)
-
-        return _GEN, run_gen
-
-    def _build_while(self, stmt: While) -> Tuple[int, Callable]:
-        cond_fn = self._condition(stmt.cond)
-        kind, body_fn = self._compiled_body(stmt.loop_body)
-        if isinstance(stmt.cond, Const) and isinstance(
-            stmt.cond.value, (bool, int)
-        ):
-            # ``while 1`` server loops: drop the per-iteration test
-            if not truthy(stmt.cond.value):
-                return _PLAIN, lambda behavior, env: None
-            # a plain infinite loop can never yield: surface the hang
-            # as the reference path would (by running it), through the
-            # generic closure below
-            if kind != _PLAIN:
-                body_gen = _as_generator(kind, body_fn)
-
-                def run_forever(behavior: str, env: Env) -> Iterator:
-                    while True:
-                        yield from body_gen(behavior, env)
-
-                return _GEN, run_forever
-        if kind == _PLAIN:
-
-            def run(behavior: str, env: Env) -> None:
-                while cond_fn(env):
-                    body_fn(behavior, env)
-
-            return _PLAIN, run
-        body_gen = _as_generator(kind, body_fn)
-
-        def run_gen(behavior: str, env: Env) -> Iterator:
-            while cond_fn(env):
-                yield from body_gen(behavior, env)
-
-        return _GEN, run_gen
-
-    def _build_for(self, stmt: For) -> Tuple[int, Callable]:
-        start_fn = self._expr.compile(stmt.start)
-        stop_fn = self._expr.compile(stmt.stop)
-        variable = stmt.variable
-        kind, body_fn = self._compiled_body(stmt.loop_body)
-        if kind == _PLAIN:
-
-            def run(behavior: str, env: Env) -> None:
-                start = start_fn(env)
-                stop = stop_fn(env)
-                loop_frame = Frame(f"{behavior}.{variable}")
-                loop_frame.declare_raw(variable, start)
-                loop_env = env.child(loop_frame)
-                for value in range(start, stop + 1):
-                    loop_frame.declare_raw(variable, value)
-                    body_fn(behavior, loop_env)
-
-            return _PLAIN, run
-        body_gen = _as_generator(kind, body_fn)
-
-        def run_gen(behavior: str, env: Env) -> Iterator:
-            start = start_fn(env)
-            stop = stop_fn(env)
-            loop_frame = Frame(f"{behavior}.{variable}")
-            loop_frame.declare_raw(variable, start)
-            loop_env = env.child(loop_frame)
-            for value in range(start, stop + 1):
-                loop_frame.declare_raw(variable, value)
-                yield from body_gen(behavior, loop_env)
-
-        return _GEN, run_gen
-
-    def _build_wait(self, stmt: Wait) -> Tuple[int, object]:
-        """Compile a wait.  ``wait for N`` and a *static* ``wait until``
-        (every free name a pure signal) are one constant request each,
-        reused for the simulator's lifetime: the static condition's
-        sensitivity is fixed and its predicate reads the current run's
-        signal store.  Any other ``wait until`` resolves its signals per
-        env; ``wait on`` snapshots the signals per execution."""
-        if stmt.delay is not None:
-            return _REQUEST, WaitDelay(stmt.delay * self.time_unit)
-        if stmt.until is not None:
-            cond = stmt.until
-            names = free_variables(cond)
-            if not names <= self._pure_signals:
-                return _GEN, self._build_scoped_wait(stmt)
-            test = self._signal_expr.compile(cond)
-            state = self._state
-            if _static_bool(cond):
-                predicate = lambda: test(state.signals)  # noqa: E731
-            else:
-                predicate = lambda: truthy(test(state.signals))  # noqa: E731
-            request = WaitCondition(predicate, names, label=f"until {cond}")
-            return _REQUEST, request
-        # wait on s1, s2: edge-sensitive — wake on any change
-        names = tuple(stmt.on)
-        sensitivity = frozenset(names)
-        label = "on " + ", ".join(names)
-
-        def run_on(behavior: str, env: Env) -> Iterator:
-            kernel = env.kernel
-            signals = kernel._signals
-            snapshot = [(name, kernel.read_signal(name)) for name in names]
-            yield WaitCondition(
-                lambda: any(signals[name] != old for name, old in snapshot),
-                sensitivity,
-                label=label,
-            )
-
-        return _GEN, run_on
-
-    def _build_scoped_wait(self, stmt: Wait) -> Callable:
-        """A ``wait until`` naming something a frame may bind: which of
-        its names are signals depends on the scope."""
-        cond = stmt.until
-        cond_fn = self._expr.compile(cond)
-        cond_bool = _static_bool(cond)
-        names = tuple(free_variables(cond))
-        label = f"until {cond}"
-        # Which free names are signals depends only on the names bound
-        # by each frame in the chain — static per frame *owner* — so
-        # the sensitivity set is memoised by the owner chain (stable
-        # across e.g. repeated subprogram calls, whose envs are fresh
-        # objects each time).  The whole WaitCondition (whose predicate
-        # closes over the env) is reused via the env's own resolution
-        # map: a long-lived behavior env hits forever, a churning call
-        # env rebuilds one request per call and then dies with it.
-        sens_cache: Dict[tuple, frozenset] = {}
-        # "\x00" keeps the key out of the variable-name namespace
-        wait_key = f"\x00wait:{id(stmt)}"
-
-        def run_until(behavior: str, env: Env) -> Iterator:
-            request = env._resolve.get(wait_key)
-            if request is None:
-                chain = tuple(frame.owner for frame in env.frames)
-                sensitivity = sens_cache.get(chain)
-                if sensitivity is None:
-                    sensitivity = frozenset(
-                        name for name in names if env.is_signal(name)
-                    )
-                    sens_cache[chain] = sensitivity
-                if cond_bool:
-                    predicate = lambda: cond_fn(env)  # noqa: E731
-                else:
-                    predicate = lambda: truthy(cond_fn(env))  # noqa: E731
-                request = WaitCondition(predicate, sensitivity, label=label)
-                env._resolve[wait_key] = request
-            yield request
-
-        return run_until
-
-    def _build_call(self, stmt: CallStmt) -> Tuple[int, Callable]:
-        callee = self.spec.subprograms.get(stmt.callee)
-        if callee is None:
-            return _GEN, self._raising_gen(
-                f"call to unknown subprogram {stmt.callee!r}"
-            )
-        if len(stmt.args) != callee.arity:
-            return _GEN, self._raising_gen(
-                f"{stmt.callee!r} expects {callee.arity} args, "
-                f"got {len(stmt.args)}"
-            )
-        if any(decl.kind is StorageClass.SIGNAL for decl in callee.decls):
-            return _GEN, self._raising_gen(
-                f"subprogram {callee.name!r} declares a signal; unsupported"
-            )
-        arg_fns = tuple(self._expr.compile(arg) for arg in stmt.args)
-        params = callee.params
-        frame_name = f"call:{callee.name}"
-        # everything shape-dependent is fixed at compile time: the
-        # copy-in plan (OUT params get the dtype default — values are
-        # immutable, so the default is safe to share), the local decls,
-        # and the compiled copy-out stores
-        copy_in = tuple(
-            (
-                param.name,
-                param.dtype,
-                param.dtype.default_value()
-                if param.direction is Direction.OUT
-                else None,
-                None if param.direction is Direction.OUT else arg_fn,
-            )
-            + _int_range(param.dtype)
-            for param, arg_fn in zip(params, arg_fns)
-        )
-        decls = tuple(callee.decls)
-        copy_out = tuple(
-            (param.name, self._compile_store(arg))
-            for param, arg in zip(params, stmt.args)
-            if param.direction in (Direction.OUT, Direction.INOUT)
-        )
-        state = self._state
-        # the callee body, compiled once per simulator; a recursive
-        # call is compiled while its callee's cell is still empty and
-        # reads the cell when it executes
-        cell = self._callee_bodies.get(callee.name)
-        if cell is None:
-            cell = self._callee_bodies[callee.name] = []
-            try:
-                cell.append(self._compiled_body(callee.stmt_body))
-            except BaseException:
-                del self._callee_bodies[callee.name]
-                raise
-
-        def enter(env: Env) -> Tuple[Frame, Env]:
-            frame = Frame(frame_name)
-            slots = frame.slots
-            for name, dtype, default, arg_fn, low, high in copy_in:
-                if arg_fn is None:
-                    slots[name] = [dtype, default]
-                    continue
-                value = arg_fn(env)
-                if type(value) is not int or not low <= value <= high:
-                    value = dtype.coerce(value)
-                slots[name] = [dtype, value]
-            for decl in decls:
-                frame.declare(decl)
-            # subprogram bodies see globals + their own frame, not the
-            # caller's locals (mirrors the validator's scope rule)
-            call_env = Env(
-                env.kernel,
-                (frame, state.global_frame),
-                on_read=env.on_read,
-                on_write=env.on_write,
-            )
-            return frame, call_env
-
-        if cell and cell[0][0] == _PLAIN:
-            body_fn = cell[0][1]
-
-            def run_plain(behavior: str, env: Env) -> None:
-                frame, call_env = enter(env)
-                body_fn(behavior, call_env)
-                slots = frame.slots
-                for name, store in copy_out:
-                    store(env, slots[name][1])
-
-            return _PLAIN, run_plain
-
-        def run(behavior: str, env: Env) -> Iterator:
-            frame, call_env = enter(env)
-            kind, fn = cell[0]
-            if kind == _PLAIN:
-                fn(behavior, call_env)
-            elif kind == _REQUEST:
-                yield fn
-            else:
-                yield from fn(behavior, call_env)
-            slots = frame.slots
-            for name, store in copy_out:
-                store(env, slots[name][1])
-
-        return _GEN, run
-
-    @staticmethod
-    def _raising_gen(message: str) -> Callable:
-        def fail(behavior: str, env: Env) -> Iterator:
-            raise SimulationError(message)
-            yield  # pragma: no cover — generator shape only
-
-        return fail
-
-
-def _as_generator(kind: int, fn) -> Callable:
-    """A compiled statement or body as a generator closure."""
-    if kind == _GEN:
-        return fn
-    if kind == _REQUEST:
-
-        def yield_request(behavior: str, env: Env) -> Iterator:
-            yield fn
-
-        return yield_request
-
-    def run_plain(behavior: str, env: Env) -> Iterator:
-        fn(behavior, env)
-        return
-        yield  # pragma: no cover — generator shape only
-
-    return run_plain
-
-
-def _int_range(dtype: DataType) -> Tuple[float, float]:
-    """Bounds within which ``dtype.coerce`` returns a plain int as is
-    (the call is skipped there); empty for non-integer types."""
-    if isinstance(dtype, IntType):
-        return dtype.min_value, dtype.max_value
-    if isinstance(dtype, BitVectorType):
-        return 0, (1 << dtype.width) - 1
-    return math.inf, -math.inf
 
 
 def _pure_signal_names(spec: Specification) -> frozenset:

@@ -27,7 +27,7 @@ from repro.exec.campaigns import sweep_inputs
 from repro.models.impl_models import ALL_MODELS
 from repro.refine.refiner import Refiner
 from repro.sim import Probe, Simulator
-from repro.sim.eval import Env, ExprCompiler, SignalExprCompiler, evaluate
+from repro.sim.eval import Env, ExprCompiler, evaluate, truthy
 from repro.sim.kernel import Kernel
 from repro.spec.builder import (
     assign,
@@ -41,7 +41,7 @@ from repro.spec.builder import (
     wait_for,
     wait_until,
 )
-from repro.spec.expr import BinOp, Const, VarRef, const, var
+from repro.spec.expr import BinOp, Const, UnaryOp, VarRef, const, var
 from repro.spec.subprogram import Direction, Param, Subprogram
 from repro.spec.types import BIT, BOOL, array_of, int_type
 from repro.spec.variable import Role, signal, variable
@@ -165,16 +165,33 @@ def _signal_cases():
               eq(a, 1)),
         chain("or", eq(a, 2), b, eq(c, 2)),
         BinOp("and", eq(a, 1), BinOp("or", eq(b, 1), eq(c, 0))),
+        # shapes the generated predicate does not inline: value
+        # helpers with the walker's checks, then ``truthy``
+        BinOp("-", a, b),
+        BinOp(">", BinOp("/", a, c), b),
+        BinOp("=", BinOp("mod", b, c), Const(0)),
+        BinOp("<", UnaryOp("-", a), UnaryOp("abs", BinOp("-", b, c))),
+        BinOp(">=", BinOp("+", a, Const(1)), BinOp("*", c, Const(2))),
+        UnaryOp("not", BinOp("or", a, eq(b, 1))),
+        BinOp("=", a, Const(True)),
+        BinOp(">", Const(True), a),
     ]
 
 
 class TestSignalExprCompiler:
-    """Static wait predicates — closures over the signal dict, with
-    flattened chains — evaluate exactly like the walker."""
+    """Static wait predicates — one generated function over the signal
+    store, with flattened chains — evaluate exactly like the walker's
+    ``truthy(evaluate(cond, env))``."""
 
     @pytest.mark.parametrize("expr", _signal_cases(), ids=str)
     def test_parity_over_every_assignment(self, expr):
-        compiled = SignalExprCompiler().compile(expr)
+        design = spec(
+            "P",
+            leaf("A", wait_until(expr)),
+            variables=[signal(name, int_type(4)) for name in "abc"],
+        )
+        simulator = Simulator(design)
+        predicate = simulator._bodies.static_wait(expr).predicate
         for a in (0, 1, 2):
             for b in (0, 1):
                 for c in (0, 1, 2):
@@ -182,10 +199,13 @@ class TestSignalExprCompiler:
                     for name, value in (("a", a), ("b", b), ("c", c)):
                         kernel.register_signal(name, value)
                     env = Env(kernel, ())
+                    simulator._state.kernel = kernel
+                    simulator._state.signals = kernel._signals
+                    walker = _value_or_error(lambda: truthy(evaluate(expr, env)))
+                    got = _value_or_error(predicate)
+                    assert got == walker, (a, b, c)
+                    assert type(got) is type(walker)
                     expected = _value_or_error(lambda: evaluate(expr, env))
-                    got = _value_or_error(lambda: compiled(kernel._signals))
-                    assert got == expected, (a, b, c)
-                    assert type(got) is type(expected)
                     pure = ExprCompiler({"a", "b", "c"}).compile(expr)
                     assert _value_or_error(lambda: pure(env)) == expected
 
