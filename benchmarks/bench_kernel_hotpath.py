@@ -7,8 +7,8 @@ implementation models, refined) three ways:
   (``compile_cache=False``), which re-dispatches on every AST node;
 * ``cached`` — the compiled fast path (the default): each statement
   body generated once per simulator as one Python function
-  (``repro.sim.codegen``), the remaining expression nodes closed into
-  Python closures;
+  (``repro.sim.codegen``), every expression inline and every name bound
+  to its frame at generation;
 * ``metrics`` — the fast path with a :class:`repro.sim.metrics.SimMetrics`
   attached, measuring the observability overhead.
 

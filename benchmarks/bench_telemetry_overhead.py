@@ -91,7 +91,7 @@ def _sweep_nulled(sims) -> None:
 
 def run_overhead_benchmark(reps: int = REPS) -> Dict[str, object]:
     sims = _simulators()
-    # warm the closure caches and the allocator before timing
+    # warm the generated code and the allocator before timing
     _sweep_plain(sims)
     _sweep_nulled(sims)
 

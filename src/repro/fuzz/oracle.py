@@ -5,7 +5,7 @@ Four independent oracles judge every generated case:
 1. **Round-trip** — printing a specification, parsing the text back,
    and printing again must reproduce the first text byte-for-byte (the
    printer's output is the parser's grammar).
-2. **Walker parity** — a compiled-closure simulation
+2. **Walker parity** — a simulation through generated body functions
    (``compile_cache=True``) and a reference-walker simulation
    (``compile_cache=False``) of the same spec and inputs must agree on
    completion, step count, simulated time, every output value, every
@@ -237,8 +237,9 @@ def check_reuse_parity(
     from a fresh compiled simulator per vector.
 
     Every vector runs in turn through one compiled :class:`Simulator`,
-    whose closure caches persist across runs while :meth:`Simulator.run`
-    rebuilds the kernel, frames and trace; each outcome is diffed
+    whose generated body functions and wait requests persist across
+    runs while :meth:`Simulator.run` rebuilds the kernel, frames and
+    trace; each outcome is diffed
     against a fresh simulator's run of the same vector.  The first
     vector runs once more at the end, so a one-vector case still checks
     a run that follows another.

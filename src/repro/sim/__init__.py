@@ -2,7 +2,7 @@
 runner, fault injection, metrics, equivalence checking."""
 
 from repro.sim.batch import BatchSimulator, LaneOutcome
-from repro.sim.eval import Env, ExprCompiler, Frame, evaluate, truthy
+from repro.sim.eval import Env, Frame, evaluate, truthy
 from repro.sim.faults import FaultEvent, FaultInjector, FaultScenario
 from repro.sim.interpreter import Probe, SimulationResult, Simulator, TraceEvent
 from repro.sim.kernel import (
@@ -23,7 +23,6 @@ __all__ = [
     "BatchSimulator",
     "LaneOutcome",
     "Env",
-    "ExprCompiler",
     "Frame",
     "evaluate",
     "truthy",

@@ -8,7 +8,7 @@ first two costs can be paid once.
 
 :class:`BatchSimulator` does exactly that.  It owns one
 :class:`repro.sim.interpreter.Simulator`, whose generated body
-functions and expression closures persist across runs, and calls
+functions persist across runs, and calls
 :meth:`Simulator.run` once per stimulus.  ``run()`` resets all per-run
 state (kernel, frames, trace), so each stimulus's outputs, output
 trace, step count, simulated time and error text are exactly what a

@@ -1,44 +1,56 @@
-"""Statement bodies compiled to generated Python functions.
+"""Statement bodies and expressions compiled to generated Python functions.
 
 The compiled fast path of :class:`repro.sim.interpreter.Simulator`
-turns each statement body into *one* Python function, generated as
-source text and compiled with :func:`compile`:
+generates Python source for every statement body, expression and
+store, and compiles it with :func:`compile`:
 
 * a leaf behavior becomes ``leaf(behavior, env)``: one activation —
   it enters the behavior (a fresh frame of its variables) and runs the
   body;
-* a subprogram becomes ``subprogram(behavior, env, *in_args)``: it
-  takes the coerced in-arguments, builds the call frame and the call
-  :class:`Env`, runs its body and returns the frame's slots; the call
-  site does copy-in and copy-out inline;
-* a static ``wait until`` predicate (every free name a pure signal)
+* a subprogram becomes ``subprogram(behavior, *in_args)``: it coerces
+  its in-arguments, builds its parameters and locals, runs its body and
+  returns its out values; the call site copies them out;
+* a transition condition becomes ``condition(frames)`` over the frames
+  of the composite's env, and a ``wait until`` that reads no variable
   becomes ``predicate()`` over the current run's signal store.
 
 A body function is a generator exactly when something inside it can
 suspend (a wait, a call of a suspending subprogram, or a positive
 statement cost); control flow (``if``/``elsif``/``else``, ``while``,
-``for``, sequencing) is Python control flow, so a resumed process
-passes one generator frame per subprogram level, not one per nested
-statement.
+``for``, sequencing) is Python control flow.
 
-Inlined in the generated code: pure-signal reads and constants, ``=``
-and ``/=``, ``and``/``or``/``not`` (with ``truthy`` applied to
-operands that are not structurally boolean), comparisons and
-``+ - *`` against an int constant (the ``_require_number`` check runs
-only when the operand is not an ``int``), signal writes with their
-in-range-int check, subprogram copy-in/copy-out, and the per-statement
-charge of instrumented runs.  Every other expression node — variable
-reads, array indexing, division, ``mod``, negation — calls its
-:class:`~repro.sim.eval.ExprCompiler` closure (a wait predicate passes
-the run state, whose ``kernel`` holds the signal store, as the env),
-and every store calls its ``compile_store`` closure, so variable
-resolution, probe hooks, index checks and error messages stay those of
-the closures.  A scoped ``wait until`` and ``wait on`` keep per-env
-helper closures.
+**Names bind when the code is generated.**  The frames a body sees are
+static: a leaf sees its behavior chain and the global frame, a
+subprogram its call frame and the global frame, and a ``for`` loop adds
+one frame.  A :class:`Scope` records the names each of those frames
+declares, and the generator resolves every name by
+:meth:`~repro.sim.eval.Env._find`'s rule (innermost frame first, then
+the signal store):
+
+* a variable becomes a *cell* — its frame slot ``[dtype, value]``,
+  hoisted into a local when the function starts — read as
+  ``cell[1]`` and stored with its type's coercion inline (an int within
+  the type's range skips the ``coerce`` call);
+* a signal becomes a read of the signal store;
+* a name bound nowhere becomes a call raising the walker's error when
+  it executes.
+
+Probe hooks (``on_read``/``on_write``) and the per-statement charge are
+generated only when a probe or ``cost_fn`` is attached, in the walker's
+order.  ``=``, ``/=``, ``and``, ``or``, ``not``, and comparisons and
+``+ - *`` against an int constant are inline; every other operator
+node calls the walker's own helper in :mod:`repro.sim.eval`, so errors
+and messages match.  A
+``wait until`` that reads a variable builds its request each time it
+executes (its sensitivity, the names that are signals in its scope, is
+bound); a store to an output records its trace event with the written
+value.  Bodies nested deeper than :data:`_MAX_NESTING` and expressions
+deeper than :data:`_MAX_INLINE` become functions of their own, called
+with the cells they use.
 
 Generated source depends only on a body's *structure*: every value
-taken from the specification — names, constants, dtypes, frame owners,
-requests, closures — is bound in the function's namespace under a
+taken from the specification — names, constants, dtypes, frame
+positions, requests — is bound in the function's namespace under a
 generated identifier (``_k0``, ``_k1``, ...), never written into the
 source.  No specification text reaches :func:`compile`, and
 structurally identical bodies (one protocol procedure per bus, one
@@ -58,21 +70,22 @@ import weakref
 from collections import OrderedDict
 from inspect import CO_GENERATOR
 from types import CodeType, FunctionType
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError, TypeMismatchError
 from repro.sim.eval import (
-    Env,
-    ExprCompiler,
-    Frame,
+    _binary,
+    _index,
     _is_number,
     _require_number,
     _static_bool,
+    _unary,
+    _write_element,
     truthy,
 )
-from repro.sim.kernel import WaitCondition, WaitDelay
-from repro.spec.behavior import LeafBehavior
-from repro.spec.expr import BinOp, Const, Expr, UnaryOp, VarRef, free_variables
+from repro.sim.kernel import Kernel, WaitCondition, WaitDelay
+from repro.spec.behavior import Behavior, LeafBehavior
+from repro.spec.expr import BinOp, Const, Expr, Index, UnaryOp, VarRef, free_variables
 from repro.spec.specification import Specification
 from repro.spec.stmt import (
     Assign,
@@ -90,7 +103,7 @@ from repro.spec.subprogram import Direction, Subprogram
 from repro.spec.types import BitVectorType, DataType, IntType
 from repro.spec.variable import StorageClass
 
-__all__ = ["CODE_MEMO_SIZE", "BodyCompiler"]
+__all__ = ["CODE_MEMO_SIZE", "BodyCompiler", "Scope"]
 
 #: Code objects kept by the process-wide memo (least recently used
 #: evicted first).  Kept workers of the serve daemon compile many
@@ -105,8 +118,8 @@ _MEMO_LOCK = threading.Lock()
 #: generated as a function of its own — far below Python's limits on
 #: nested blocks and indentation.
 _MAX_NESTING = 12
-#: Expression levels inlined into one source expression; deeper nodes
-#: call their closures.
+#: Expression levels inlined into one source expression; a deeper
+#: node becomes a function of its own.
 _MAX_INLINE = 16
 
 #: IR operators inlined as the same Python operator
@@ -121,6 +134,10 @@ _PY_OPS = {
     "-": "-",
     "*": "*",
 }
+
+#: a key naming one variable of a scope: (position of its frame counted
+#: from the outermost, name)
+Key = Tuple[int, str]
 
 
 def _code_for(source: str) -> CodeType:
@@ -139,6 +156,33 @@ def _code_for(source: str) -> CodeType:
     return code
 
 
+class Scope:
+    """The frames of an env as the generator sees them: one
+    ``name -> dtype`` map per frame (``None`` for a loop variable),
+    innermost first.  Scopes entered from one root are interned, so a
+    scope's identity keys the functions generated for it."""
+
+    __slots__ = ("frames", "_inner")
+
+    def __init__(self, frames: Tuple[Dict[str, Optional[DataType]], ...]):
+        self.frames = frames
+        self._inner: Dict[int, Tuple[Behavior, "Scope"]] = {}
+
+    def enter(self, behavior: Behavior) -> "Scope":
+        """The scope of ``behavior``'s activation under this one."""
+        hit = self._inner.get(id(behavior))
+        if hit is None or hit[0] is not behavior:
+            hit = (behavior, Scope((_frame_types(behavior.decls),) + self.frames))
+            self._inner[id(behavior)] = hit
+        return hit[1]
+
+
+def _frame_types(decls) -> Dict[str, DataType]:
+    """The frame variables ``decls`` declare (a later declaration of a
+    name wins, as in :meth:`~repro.sim.eval.Frame.declare`)."""
+    return {d.name: d.dtype for d in decls if d.kind is not StorageClass.SIGNAL}
+
+
 # -- runtime helpers the generated code calls --------------------------------
 
 
@@ -153,10 +197,27 @@ def _inclusive(start, stop) -> range:
     return range(start, stop + 1)
 
 
+def _cells(frames, pairs: Sequence[Tuple[int, str]]) -> List[List]:
+    """The slots ``[dtype, value]`` of the named frame variables."""
+    return [frames[index].slots[name] for index, name in pairs]
+
+
+def _wait_on(kernel: Kernel, names, sensitivity, label) -> WaitCondition:
+    """``wait on s1, s2``: edge-sensitive, so each execution snapshots
+    the signals and waits for any of them to change."""
+    signals = kernel._signals
+    snapshot = [(name, kernel.read_signal(name)) for name in names]
+    return WaitCondition(
+        lambda: any(signals[name] != old for name, old in snapshot),
+        sensitivity,
+        label=label,
+    )
+
+
 def _raiser(message: str) -> Callable:
     """A callable raising ``SimulationError(message)`` when the
-    statement it stands for executes (its argument, an already
-    evaluated value, is ignored)."""
+    statement it stands for executes (its arguments, already evaluated
+    values, are ignored)."""
 
     def fail(*evaluated):
         raise SimulationError(message)
@@ -164,14 +225,28 @@ def _raiser(message: str) -> Callable:
     return fail
 
 
+def _reraise(exc: Exception) -> Callable[[], None]:
+    error_type, args = type(exc), exc.args
+
+    def misfit():
+        raise error_type(*args)
+
+    return misfit
+
+
 #: names every generated namespace starts with (none spec-derived)
 _HELPERS = {
     "__builtins__": builtins,
     "_truthy": truthy,
     "_number": _number,
+    "_index": _index,
+    "_unary": _unary,
+    "_binary": _binary,
+    "_write_element": _write_element,
     "_inclusive": _inclusive,
-    "_Frame": Frame,
-    "_Env": Env,
+    "_cells": _cells,
+    "_wait_on": _wait_on,
+    "_WaitCondition": WaitCondition,
     "_WaitDelay": WaitDelay,
     "_no_cost": 0.0,
 }
@@ -191,18 +266,22 @@ def _flatten(expr: Expr, op: str) -> List[Expr]:
     return terms
 
 
-def _int_range(dtype: DataType) -> Optional[Tuple[int, int]]:
+def _int_range(dtype: DataType) -> Tuple[int, int]:
     """Bounds within which ``dtype.coerce`` returns a plain int as is
-    (the call is skipped there); ``None`` for non-integer types."""
+    (the call is skipped there); empty for non-integer types."""
     if isinstance(dtype, IntType):
         return dtype.min_value, dtype.max_value
     if isinstance(dtype, BitVectorType):
         return 0, (1 << dtype.width) - 1
-    return None
+    return 1, 0
+
+
+def _generator(fn: FunctionType) -> bool:
+    return bool(fn.__code__.co_flags & CO_GENERATOR)
 
 
 class _Function:
-    """Source lines and namespace of one generated function."""
+    """Source lines, namespace and cells of one generated function."""
 
     def __init__(self, helpers: Dict[str, object]):
         self.lines: List[str] = []
@@ -211,6 +290,13 @@ class _Function:
         #: the body reads the signal store / writes signals (hoisted)
         self.reads_signals = False
         self.writes_signals = False
+        #: variable -> the local holding its cell
+        self.cells: Dict[Key, str] = {}
+        #: variables whose cells come from outside the function
+        #: (hoisted in its prologue, or passed in), in order
+        self.free: List[Key] = []
+        #: locals of the loop-variable cells the function creates
+        self.loops: List[str] = []
 
     def bind(self, value) -> str:
         """A fresh identifier bound to ``value`` in the namespace."""
@@ -222,113 +308,222 @@ class _Function:
     def line(self, depth: int, text: str) -> None:
         self.lines.append("    " * depth + text)
 
-    def build(self, signature: str, prologue: List[str], store: str) -> FunctionType:
-        """Compile ``def signature:`` over prologue, hoists and body.
+    def cell(self, key: Key) -> str:
+        """The local holding the cell of variable ``key``."""
+        local = self.cells.get(key)
+        if local is None:
+            local = self.cells[key] = f"_v{len(self.cells)}"
+            self.free.append(key)
+        return local
 
-        ``store`` is the expression of the signal store (read through
-        ``signals``)."""
+    def made_cell(self, key: Key) -> str:
+        """The local of a cell this function makes itself."""
+        local = self.cells.get(key)
+        if local is None:
+            local = self.cells[key] = f"_v{len(self.cells)}"
+        return local
+
+    def loop_cell(self, key: Key) -> str:
+        """The local of a loop variable's cell, made when the function
+        starts (sibling loops of one variable share it)."""
+        local = self.made_cell(key)
+        if local not in self.loops:
+            self.loops.append(local)
+        return local
+
+    def hoist(self, frames: str, depth: int) -> List[str]:
+        """The prologue line taking the free cells from ``frames`` (an
+        expression of a frame tuple holding the ``depth`` outermost
+        frames of the scope, innermost first)."""
+        if not self.free:
+            return []
+        pairs = tuple((depth - 1 - position, name) for position, name in self.free)
+        targets = "".join(local + ", " for local in self.params())
+        return [f"{targets}= _cells({frames}, {self.bind(pairs)})"]
+
+    def build(self, signature: str, prologue: Sequence[str] = ()) -> FunctionType:
+        """Compile ``def signature:`` over prologue, hoists and body."""
         head = [f"def {signature}:"] + ["    " + text for text in prologue]
         if self.reads_signals:
-            head.append(f"    signals = {store}")
+            head.append("    signals = _state.signals")
         if self.writes_signals:
-            head.append("    write_signal = env.kernel.write_signal")
+            head.append("    write_signal = _state.kernel.write_signal")
+        if self.loops:
+            head.append(
+                "    " + "".join(f"{local}, " for local in self.loops)
+                + "= " + ", ".join("[None, None]" for _ in self.loops) + ","
+            )
         if len(head) == 1 and not self.lines:
             head.append("    pass")
         source = "\n".join(head + self.lines) + "\n"
         code = _code_for(source)
         return FunctionType(code, self.namespace, code.co_name)
 
+    def params(self) -> List[str]:
+        """The locals of the free cells, as parameters."""
+        return [self.cells[key] for key in self.free]
+
+    def arguments(self, sub: "_Function") -> List[str]:
+        """This function's cells that ``sub``, a function generated in
+        the same scope, takes as parameters."""
+        return [self.cell(key) for key in sub.free]
+
 
 class _Writer:
-    """Emits statements and expressions into one :class:`_Function`
-    for the owning :class:`BodyCompiler`."""
+    """Emits statements and expressions of one scope into one
+    :class:`_Function` for the owning :class:`BodyCompiler`."""
 
-    def __init__(self, compiler: "BodyCompiler", function: _Function):
+    def __init__(
+        self,
+        compiler: "BodyCompiler",
+        function: _Function,
+        frames: Tuple[Dict[str, Optional[DataType]], ...],
+    ):
         self.compiler = compiler
         self.fn = function
+        #: the scope's frames, innermost first
+        self.frames = frames
+
+    def lookup(self, name: str) -> Optional[Tuple[Key, Optional[DataType]]]:
+        """``(key, dtype)`` of the frame variable ``name`` denotes here,
+        or ``None`` when no frame binds it."""
+        for position, frame in enumerate(self.frames):
+            if name in frame:
+                return (len(self.frames) - 1 - position, name), frame[name]
+        return None
+
+    def _hook(self, hook: str, name: str) -> str:
+        return f"{hook}(_state.behavior, {self.fn.bind(name)})"
 
     # -- expressions -----------------------------------------------------------
 
-    def expr(self, expr: Expr, env: str, level: int = 0) -> str:
+    def expr(self, expr: Expr, level: int = 0) -> str:
         fn = self.fn
         if level > _MAX_INLINE:
-            return self._closure(expr, env)
+            return self._value_function(expr)
         if isinstance(expr, Const):
             return fn.bind(expr.value)
         if isinstance(expr, VarRef):
-            if expr.name in self.compiler.pure_signals:
-                fn.reads_signals = True
-                return f"signals[{fn.bind(expr.name)}]"
-            return self._closure(expr, env)
+            return self._read(expr.name)
         inner = level + 1
-        if isinstance(expr, UnaryOp) and expr.op == "not":
-            return f"(not {self.cond(expr.operand, env, inner)})"
-        if isinstance(expr, BinOp):
-            op = expr.op
-            if op in ("and", "or"):
-                terms = [self.cond(term, env, inner) for term in _flatten(expr, op)]
-                return "(" + f" {op} ".join(terms) + ")"
-            if op in ("=", "/="):
-                left = self.expr(expr.left, env, inner)
-                right = self.expr(expr.right, env, inner)
-                return f"({left} {_PY_OPS[op]} {right})"
-            if (
-                op in _PY_OPS
-                and isinstance(expr.right, Const)
-                and _is_number(expr.right.value)
-            ):
-                # the check runs only when the operand is not an int
-                temp = f"_t{level}"
-                left = self.expr(expr.left, env, inner)
-                return (
-                    f"(({temp} if type({temp} := {left}) is int "
-                    f"else _number({temp}, {fn.bind(expr)})) "
-                    f"{_PY_OPS[op]} {fn.bind(expr.right.value)})"
-                )
-        return self._closure(expr, env)
+        if isinstance(expr, Index):
+            base = self.expr(expr.base, inner)
+            return f"_index({fn.bind(expr)}, {base}, {self.expr(expr.index_expr, inner)})"
+        if isinstance(expr, UnaryOp):
+            if expr.op == "not":
+                return f"(not {self.cond(expr.operand, inner)})"
+            return f"_unary({fn.bind(expr)}, {self.expr(expr.operand, inner)})"
+        if not isinstance(expr, BinOp):
+            return f"{fn.bind(_raiser(f'runtime: cannot evaluate {expr!r}'))}()"
+        op = expr.op
+        if op in ("and", "or"):
+            terms = [self.cond(term, inner) for term in _flatten(expr, op)]
+            return "(" + f" {op} ".join(terms) + ")"
+        left = self.expr(expr.left, inner)
+        if op in ("=", "/="):
+            return f"({left} {_PY_OPS[op]} {self.expr(expr.right, inner)})"
+        # against an int constant, the check of the other operand runs
+        # only when it is not an int
+        if op in _PY_OPS and isinstance(expr.right, Const) and _is_number(expr.right.value):
+            checked = self._number(left, level, expr)
+            return f"({checked} {_PY_OPS[op]} {fn.bind(expr.right.value)})"
+        if op in _PY_OPS and isinstance(expr.left, Const) and _is_number(expr.left.value):
+            checked = self._number(self.expr(expr.right, inner), level, expr)
+            return f"({left} {_PY_OPS[op]} {checked})"
+        return f"_binary({fn.bind(expr)}, {left}, {self.expr(expr.right, inner)})"
 
-    def cond(self, expr: Expr, env: str, level: int = 0) -> str:
+    def _number(self, text: str, level: int, node: Expr) -> str:
+        """The value of ``text``, after ``_require_number``'s check
+        (which runs only for a non-int)."""
+        temp = f"_t{level}"
+        return f"({temp} if type({temp} := {text}) is int else _number({temp}, {self.fn.bind(node)}))"
+
+    def cond(self, expr: Expr, level: int = 0) -> str:
         """``expr`` as a condition (``truthy`` unless structurally bool)."""
-        text = self.expr(expr, env, level)
+        text = self.expr(expr, level)
         return text if _static_bool(expr) else f"_truthy({text})"
 
-    def _closure(self, expr: Expr, env: str) -> str:
-        return f"{self.fn.bind(self.compiler.expr.compile(expr))}({env})"
+    def _read(self, name: str) -> str:
+        fn = self.fn
+        found = self.lookup(name)
+        if found is None:
+            if name in self.compiler.signal_types:
+                fn.reads_signals = True
+                return f"signals[{fn.bind(name)}]"
+            return f"{fn.bind(_raiser(f'runtime: name {name!r} is not bound'))}()"
+        cell = fn.cell(found[0])
+        if self.compiler.probe is None:
+            return f"{cell}[1]"
+        return f"({self._hook('_on_read', name)}, {cell}[1])[1]"
+
+    def _value_function(self, expr: Expr) -> str:
+        """``expr`` as a call of a generated function of its own (too
+        deep to inline), passed the cells it reads."""
+        sub = _Function(self.compiler.helpers)
+        sub.line(1, f"return {_Writer(self.compiler, sub, self.frames).expr(expr)}")
+        value = sub.build(f"value({', '.join(sub.params())})")
+        return f"{self.fn.bind(value)}({', '.join(self.fn.arguments(sub))})"
+
+    def _coerced(self, value: str, dtype: DataType) -> str:
+        """``value`` coerced to ``dtype`` (an int within the type's
+        range skips the call; other types have an empty range)."""
+        fn = self.fn
+        low, high = _int_range(dtype)
+        return (
+            f"(_t if type(_t := {value}) is int and "
+            f"{fn.bind(low)} <= _t <= {fn.bind(high)} else {fn.bind(dtype.coerce)}(_t))"
+        )
+
+    def _may_raise(self, arg: Expr, dtype: DataType) -> bool:
+        """Whether evaluating call argument ``arg`` can raise or fire a
+        probe hook (so earlier arguments must be coerced before it)."""
+        if isinstance(arg, Const):
+            try:
+                dtype.coerce(arg.value)
+            except TypeMismatchError:
+                return True
+            return False
+        if not isinstance(arg, VarRef):
+            return True
+        if self.lookup(arg.name) is not None:
+            return self.compiler.probe is not None
+        return arg.name not in self.compiler.signal_types
 
     # -- statements ----------------------------------------------------------------
 
-    def body(self, stmts: Body, depth: int, env: str, loops: int) -> None:
+    def body(self, stmts: Body, depth: int) -> None:
         fn = self.fn
         if not stmts:
             fn.line(depth, "pass")
             return
         if depth > _MAX_NESTING:
-            suspends, nested = self.compiler.body(stmts)
-            call = f"{fn.bind(nested)}(behavior, {env})"
-            fn.line(depth, f"yield from {call}" if suspends else call)
+            sub = _Function(self.compiler.helpers)
+            _Writer(self.compiler, sub, self.frames).body(stmts, 1)
+            nested = sub.build(f"body({', '.join(['behavior'] + sub.params())})")
+            self.compiler._nested.append(nested)
+            call = f"{fn.bind(nested)}({', '.join(['behavior'] + fn.arguments(sub))})"
+            fn.line(depth, f"yield from {call}" if _generator(nested) else call)
             return
         for stmt in stmts:
-            self.stmt(stmt, depth, env, loops)
+            self.stmt(stmt, depth)
 
-    def stmt(self, stmt: Stmt, depth: int, env: str, loops: int) -> None:
+    def stmt(self, stmt: Stmt, depth: int) -> None:
         fn = self.fn
-        compiler = self.compiler
-        if compiler.instrumented:
+        if self.compiler.instrumented:
             self._charge(stmt, depth)
         if isinstance(stmt, Assign):
-            store = fn.bind(compiler.store(stmt.target))
-            fn.line(depth, f"{store}({env}, {self.expr(stmt.value, env)})")
+            self._store(stmt.target, stmt.value, depth)
         elif isinstance(stmt, SignalAssign):
-            self._signal_assign(stmt, depth, env)
+            self._signal_assign(stmt, depth)
         elif isinstance(stmt, If):
-            fn.line(depth, f"if {self.cond(stmt.cond, env)}:")
-            self.body(stmt.then_body, depth + 1, env, loops)
+            fn.line(depth, f"if {self.cond(stmt.cond)}:")
+            self.body(stmt.then_body, depth + 1)
             for cond, arm in stmt.elifs:
-                fn.line(depth, f"elif {self.cond(cond, env)}:")
-                self.body(arm, depth + 1, env, loops)
+                fn.line(depth, f"elif {self.cond(cond)}:")
+                self.body(arm, depth + 1)
             if stmt.else_body:
                 fn.line(depth, "else:")
-                self.body(stmt.else_body, depth + 1, env, loops)
+                self.body(stmt.else_body, depth + 1)
         elif isinstance(stmt, While):
             cond = stmt.cond
             if isinstance(cond, Const) and isinstance(cond.value, (bool, int)):
@@ -336,19 +531,23 @@ class _Writer:
                     return
                 fn.line(depth, "while True:")
             else:
-                fn.line(depth, f"while {self.cond(cond, env)}:")
-            self.body(stmt.loop_body, depth + 1, env, loops)
+                fn.line(depth, f"while {self.cond(cond)}:")
+            self.body(stmt.loop_body, depth + 1)
         elif isinstance(stmt, For):
-            self._for(stmt, depth, env, loops)
+            # the loop frame holds one cell, created with the function
+            cell = fn.loop_cell((len(self.frames), stmt.variable))
+            start, stop = self.expr(stmt.start), self.expr(stmt.stop)
+            fn.line(depth, f"for {cell}[1] in _inclusive({start}, {stop}):")
+            loop = ({stmt.variable: None},) + self.frames
+            _Writer(self.compiler, fn, loop).body(stmt.loop_body, depth + 1)
         elif isinstance(stmt, Wait):
-            fn.line(depth, f"yield {self._wait_request(stmt, env)}")
+            fn.line(depth, f"yield {self._wait_request(stmt)}")
         elif isinstance(stmt, CallStmt):
-            self._call(stmt, depth, env)
+            self._call(stmt, depth)
         elif isinstance(stmt, Null):
             fn.line(depth, "pass")
         else:
-            fail = fn.bind(_raiser(f"unknown statement {stmt!r}"))
-            fn.line(depth, f"{fail}()")
+            fn.line(depth, f"{fn.bind(_raiser(f'unknown statement {stmt!r}'))}()")
 
     def _charge(self, stmt: Stmt, depth: int) -> None:
         """The reference path's ``_charge``, inline: name the behavior,
@@ -367,32 +566,67 @@ class _Writer:
             fn.line(depth, "if _cost > _no_cost:")
             fn.line(depth + 1, "yield _WaitDelay(_cost)")
 
-    def _coerce(self, name: str, dtype: DataType, depth: int) -> None:
-        """Coerce local ``name`` to ``dtype``; an in-range int skips the
-        call (``dtype.coerce`` would return it as is)."""
+    def _store(
+        self, target: Expr, value, depth: int, value_type: Optional[DataType] = None
+    ) -> None:
+        """Assign ``value`` — an expression, or the source of a value
+        already of ``value_type`` — to ``target``: the reference path's
+        ``_do_assign``, trace recording included.  A value of the
+        target's own type (a variable of that type, a parameter copied
+        out) is stored without coercion, a constant coerced once."""
         fn = self.fn
-        coerce = fn.bind(dtype.coerce)
-        bounds = _int_range(dtype)
-        if bounds is None:
-            fn.line(depth, f"{name} = {coerce}({name})")
+        constant = value if isinstance(value, Const) else None
+        if isinstance(value, VarRef):
+            found = self.lookup(value.name)
+            value_type = found[1] if found is not None else None
+        if isinstance(value, Expr):
+            value = self.expr(value)
+        if isinstance(target, VarRef):
+            name, index = target.name, None
+        elif isinstance(target, Index) and isinstance(target.base, VarRef):
+            name, index = target.base.name, target.index_expr
+        else:
+            fail = fn.bind(_raiser(f"invalid assignment target {target}"))
+            fn.line(depth, f"{fail}({value})")
             return
-        low, high = fn.bind(bounds[0]), fn.bind(bounds[1])
-        fn.line(
-            depth,
-            f"if type({name}) is not int or not {low} <= {name} <= {high}:",
-        )
-        fn.line(depth + 1, f"{name} = {coerce}({name})")
+        found = self.lookup(name)
+        if found is None:
+            fail = fn.bind(_raiser(f"runtime: cannot assign unbound name {name!r}"))
+            index_text = "" if index is None else ", " + self.expr(index)
+            fn.line(depth, f"{fail}({value}{index_text})")
+            return
+        key, dtype = found
+        cell = fn.cell(key)
+        if constant is not None and index is None and dtype is not None:
+            try:
+                value = fn.bind(dtype.coerce(constant.value))
+            except TypeMismatchError as exc:
+                # fails when the statement executes, as on the walker
+                fn.line(depth, f"{fn.bind(_reraise(exc))}()")
+                return
+            dtype = None
+        if index is not None:
+            fn.line(
+                depth,
+                f"_write_element({cell}, {fn.bind(name)}, {value}, {self.expr(index)})",
+            )
+        elif dtype is None or dtype == value_type:
+            fn.line(depth, f"{cell}[1] = {value}")
+        else:
+            fn.line(depth, f"{cell}[1] = {self._coerced(value, dtype)}")
+        if self.compiler.probe is not None:
+            fn.line(depth, self._hook("_on_write", name))
+        if name in self.compiler.output_names:
+            fn.line(depth, f"_record({fn.bind(name)}, {cell}[1])")
 
-    def _signal_assign(self, stmt: SignalAssign, depth: int, env: str) -> None:
+    def _signal_assign(self, stmt: SignalAssign, depth: int) -> None:
         fn = self.fn
         target = stmt.target
         if not isinstance(target, VarRef):
             fail = fn.bind(
-                _raiser(
-                    f"signal assignment target must be a signal name, got {target}"
-                )
+                _raiser(f"signal assignment target must be a signal name, got {target}")
             )
-            fn.line(depth, f"{fail}({self.expr(stmt.value, env)})")
+            fn.line(depth, f"{fail}({self.expr(stmt.value)})")
             return
         dtype = self.compiler.signal_types.get(target.name)
         if isinstance(stmt.value, Const):
@@ -405,49 +639,43 @@ class _Writer:
                     # statement executes, exactly as on the reference path
                     fn.line(depth, f"{fn.bind(_reraise(exc))}()")
                     return
-            fn.writes_signals = True
-            fn.line(depth, f"write_signal({fn.bind(target.name)}, {fn.bind(value)})")
-            return
+            value = fn.bind(value)
+        else:
+            value = self.expr(stmt.value)
+            if dtype is not None:
+                value = self._coerced(value, dtype)
         fn.writes_signals = True
-        value = self.expr(stmt.value, env)
-        if dtype is None:
-            fn.line(depth, f"write_signal({fn.bind(target.name)}, {value})")
-            return
-        fn.line(depth, f"_v = {value}")
-        self._coerce("_v", dtype, depth)
-        fn.line(depth, f"write_signal({fn.bind(target.name)}, _v)")
+        fn.line(depth, f"write_signal({fn.bind(target.name)}, {value})")
 
-    def _for(self, stmt: For, depth: int, env: str, loops: int) -> None:
-        fn = self.fn
-        start, stop = f"_start{loops}", f"_stop{loops}"
-        slots, loop_env, value = f"_slots{loops}", f"_env{loops}", f"_i{loops}"
-        fn.line(depth, f"{start} = {self.expr(stmt.start, env)}")
-        fn.line(depth, f"{stop} = {self.expr(stmt.stop, env)}")
-        owner = fn.bind("." + stmt.variable)
-        fn.line(depth, f"_frame{loops} = _Frame(behavior + {owner})")
-        fn.line(depth, f"{slots} = _frame{loops}.slots")
-        name = fn.bind(stmt.variable)
-        fn.line(depth, f"{slots}[{name}] = [None, {start}]")
-        fn.line(depth, f"{loop_env} = {env}.child(_frame{loops})")
-        fn.line(depth, f"for {value} in _inclusive({start}, {stop}):")
-        fn.line(depth + 1, f"{slots}[{name}] = [None, {value}]")
-        self.body(stmt.loop_body, depth + 1, loop_env, loops + 1)
-
-    def _wait_request(self, stmt: Wait, env: str) -> str:
-        """The expression of the request a wait yields: a constant
-        request, or a per-env helper's result."""
+    def _wait_request(self, stmt: Wait) -> str:
+        """The expression of the request a wait yields."""
         fn = self.fn
         compiler = self.compiler
         if stmt.delay is not None:
             return fn.bind(WaitDelay(stmt.delay * compiler.time_unit))
-        if stmt.until is not None:
-            request = compiler.static_wait(stmt.until)
-            if request is not None:
-                return fn.bind(request)
-            return f"{fn.bind(compiler.scoped_wait(stmt))}({env})"
-        return f"{fn.bind(_wait_on(stmt.on))}({env})"
+        if stmt.until is None:
+            names = tuple(stmt.on)
+            label = "on " + ", ".join(names)
+            return (
+                f"_wait_on(_state.kernel, {fn.bind(names)}, "
+                f"{fn.bind(frozenset(names))}, {fn.bind(label)})"
+            )
+        cond = stmt.until
+        names = free_variables(cond)
+        if not any(self.lookup(name) is not None for name in names):
+            # reads only signals: one request for the simulator's life
+            return fn.bind(compiler.static_wait(cond, self.frames))
+        sensitivity = frozenset(
+            name
+            for name in names
+            if self.lookup(name) is None and name in compiler.signal_types
+        )
+        return (
+            f"_WaitCondition(lambda: {self.cond(cond)}, "
+            f"{fn.bind(sensitivity)}, {fn.bind(f'until {cond}')})"
+        )
 
-    def _call(self, stmt: CallStmt, depth: int, env: str) -> None:
+    def _call(self, stmt: CallStmt, depth: int) -> None:
         fn = self.fn
         compiler = self.compiler
         callee = compiler.spec.subprograms.get(stmt.callee)
@@ -463,94 +691,70 @@ class _Writer:
         if message is not None:
             fn.line(depth, f"{fn.bind(_raiser(message))}()")
             return
-        # copy-in, in parameter order (an OUT parameter takes its
-        # dtype's default inside the callee)
+        pairs = list(zip(callee.params, stmt.args))
+        ins = [(param, arg) for param, arg in pairs if param.direction is not Direction.OUT]
+        declares_signal = any(decl.kind is StorageClass.SIGNAL for decl in callee.decls)
+        # Copy-in coerces each argument before the next is evaluated.
+        # The callee coerces its in-arguments again (a no-op on coerced
+        # values), so an argument after which no evaluation can raise
+        # or fire a hook is passed as evaluated.
+        coerce_before = len(ins) if declares_signal else max(
+            (i for i, (param, arg) in enumerate(ins) if self._may_raise(arg, param.dtype)),
+            default=0,
+        )
         args = []
-        for position, (param, arg) in enumerate(zip(callee.params, stmt.args)):
-            if param.direction is Direction.OUT:
-                continue
+        for position, (param, arg) in enumerate(ins):
             if isinstance(arg, Const):
                 # a constant is coerced once; one that does not fit
                 # fails when the call executes, as on the reference path
                 try:
                     args.append(fn.bind(param.dtype.coerce(arg.value)))
                 except TypeMismatchError as exc:
-                    fn.line(depth, f"{fn.bind(_reraise(exc))}()")
-                    return
+                    args.append(f"{fn.bind(_reraise(exc))}()")
                 continue
-            name = f"_a{position}"
-            fn.line(depth, f"{name} = {self.expr(arg, env)}")
-            self._coerce(name, param.dtype, depth)
-            args.append(name)
-        if any(decl.kind is StorageClass.SIGNAL for decl in callee.decls):
+            value = self.expr(arg)
+            if position < coerce_before:
+                value = self._coerced(value, param.dtype)
+            args.append(value)
+        arguments = "".join(", " + arg for arg in args)
+        if declares_signal:
             fail = _raiser(f"subprogram {callee.name!r} declares a signal; unsupported")
-            fn.line(depth, f"{fn.bind(fail)}()")
+            fn.line(depth, f"{fn.bind(fail)}({arguments[2:]})")
             return
         suspends, sub = compiler.subprogram(callee)
-        call = f"{fn.bind(sub)}(behavior, {env}{''.join(', ' + a for a in args)})"
+        call = f"{fn.bind(sub)}(behavior{arguments})"
         if suspends:
             call = "yield from " + call
-        copy_out = [
-            (param, arg)
-            for param, arg in zip(callee.params, stmt.args)
-            if param.direction in (Direction.OUT, Direction.INOUT)
-        ]
-        if not copy_out:
+        outs = [(param, arg) for param, arg in pairs if param.direction is not Direction.IN]
+        if not outs:
             fn.line(depth, call)
             return
-        fn.line(depth, f"_r = {call}")
-        for param, arg in copy_out:
-            fn.line(depth, f"_u, _w = _r[{fn.bind(param.name)}]")
-            fn.line(depth, f"{fn.bind(compiler.store(arg))}({env}, _w)")
-
-
-def _reraise(exc: Exception) -> Callable[[], None]:
-    error_type, args = type(exc), exc.args
-
-    def misfit():
-        raise error_type(*args)
-
-    return misfit
-
-
-def _wait_on(names: Tuple[str, ...]) -> Callable[[Env], WaitCondition]:
-    """``wait on s1, s2``: edge-sensitive, so each execution snapshots
-    the signals and waits for any of them to change."""
-    names = tuple(names)
-    sensitivity = frozenset(names)
-    label = "on " + ", ".join(names)
-
-    def request(env: Env) -> WaitCondition:
-        kernel = env.kernel
-        signals = kernel._signals
-        snapshot = [(name, kernel.read_signal(name)) for name in names]
-        return WaitCondition(
-            lambda: any(signals[name] != old for name, old in snapshot),
-            sensitivity,
-            label=label,
-        )
-
-    return request
+        results = [f"_r{i}" for i in range(len(outs))]
+        fn.line(depth, f"{''.join(r + ', ' for r in results)}= {call}")
+        # an out value has the type of its cell in the call frame, where
+        # a local declared with the parameter's name replaces it
+        cell_types = {param.name: param.dtype for param in callee.params}
+        cell_types.update(_frame_types(callee.decls))
+        for (param, arg), result in zip(outs, results):
+            self._store(arg, result, depth, cell_types[param.name])
 
 
 class BodyCompiler:
-    """Generates and caches the statement-body functions of one
-    simulator.
+    """Generates and caches the functions of one simulator.
 
-    ``state`` is the simulator's per-run state (``kernel``,
-    ``signals``, ``global_frame``, ``scoped_waits``, ``behavior``,
-    ``observe_write``); generated functions bind it, never the
-    simulator.  Leaf bodies are cached by
-    node identity (each entry keeps its node, so an id cannot be
-    recycled), subprograms by name, for the compiler's lifetime.
+    ``state`` is the simulator's per-run state (``kernel``, ``signals``,
+    ``global_frame``, ``behavior``, ``enter``, ``record``); generated
+    functions bind it, never the simulator.  ``signal_types`` maps
+    every signal a run registers to its dtype.  Leaf functions and
+    transition conditions are cached by node identity and scope (each
+    entry keeps its node, so an id cannot be recycled), subprograms by
+    name, for the compiler's lifetime.
     """
 
     def __init__(
         self,
         spec: Specification,
-        expr: ExprCompiler,
         state,
-        pure_signals: frozenset,
         signal_types: Dict[str, DataType],
         output_names: frozenset,
         time_unit: float,
@@ -558,81 +762,97 @@ class BodyCompiler:
         probe=None,
     ):
         self.spec = spec
-        self.expr = expr
-        self.state = state
-        self.pure_signals = pure_signals
         self.signal_types = signal_types
         self.output_names = output_names
         self.time_unit = time_unit
         self.cost_fn = cost_fn
         self.probe = probe
         self.instrumented = cost_fn is not None or probe is not None
-        self._helpers = dict(
-            _HELPERS,
-            _state=state,
-            _cost_fn=cost_fn,
-            _on_statement=probe.on_statement if probe is not None else None,
+        hooks = {}
+        if probe is not None:
+            hooks = dict(
+                _on_statement=probe.on_statement,
+                _on_read=probe.on_read,
+                _on_write=probe.on_write,
+            )
+        self.helpers = dict(
+            _HELPERS, _state=state, _record=state.record, _cost_fn=cost_fn, **hooks
         )
-        #: id(behavior) -> (behavior, suspends, fn) — leaf activations
-        self._leaves: Dict[int, Tuple[LeafBehavior, bool, FunctionType]] = {}
-        #: id(body) -> (body, suspends, fn) — bodies nested too deep
-        self._bodies: Dict[int, Tuple[Body, bool, FunctionType]] = {}
+        #: the scope of the top behavior: the global frame
+        self.scope = Scope((_frame_types(spec.variables),))
+        #: (id(behavior), id(scope)) -> (behavior, suspends, fn)
+        self._leaves: Dict[Tuple[int, int], Tuple[LeafBehavior, bool, FunctionType]] = {}
+        #: bodies nested too deep, generated as functions of their own
+        self._nested: List[FunctionType] = []
         #: subprogram name -> (suspends, fn)
         self._callees: Dict[str, Tuple[bool, FunctionType]] = {}
         #: subprograms whose function is being generated (recursion)
         self._generating: set = set()
+        #: (id(condition), id(scope)) -> (condition, fn)
+        self._conditions: Dict[Tuple[int, int], Tuple[Expr, FunctionType]] = {}
         #: the simulator-lifetime static wait requests
         self.static_requests: set = set()
 
     def functions(self) -> List[FunctionType]:
-        """Every function generated so far (leaves, nested bodies, then
-        subprograms)."""
+        """Every statement-body function generated so far (leaves,
+        nested bodies, then subprograms)."""
         return (
             [fn for _, _, fn in self._leaves.values()]
-            + [fn for _, _, fn in self._bodies.values()]
+            + self._nested
             + [fn for _, fn in self._callees.values()]
         )
 
-    def leaf(self, behavior: LeafBehavior) -> Tuple[bool, FunctionType]:
+    def leaf(self, behavior: LeafBehavior, scope: Scope) -> Tuple[bool, FunctionType]:
         """``(suspends, fn)``: ``fn(behavior_name, env)`` is one
-        activation of the leaf — it enters the behavior (a fresh frame
-        under ``env``) and runs its body — and is a generator function
-        exactly when ``suspends``."""
-        key = id(behavior)
+        activation of the leaf under an env of ``scope`` — it enters the
+        behavior (a fresh frame under ``env``) and runs its body — and is
+        a generator function exactly when ``suspends``."""
+        key = (id(behavior), id(scope))
         hit = self._leaves.get(key)
         if hit is not None and hit[0] is behavior:
             return hit[1], hit[2]
-        function = _Function(self._helpers)
-        prologue = [f"env = _state.enter({function.bind(behavior)}, env)"]
-        entry = self._generate(function, behavior.stmt_body, "leaf", prologue)
-        self._leaves[key] = (behavior,) + entry
-        return entry
+        function = _Function(self.helpers)
+        entered = scope.enter(behavior)
+        _Writer(self, function, entered.frames).body(behavior.stmt_body, 1)
+        env = f"_state.enter({function.bind(behavior)}, env)"
+        prologue = function.hoist(env + ".frames", len(entered.frames)) or [env]
+        fn = function.build("leaf(behavior, env)", prologue)
+        self._leaves[key] = (behavior, _generator(fn), fn)
+        return self._leaves[key][1:]
 
-    def body(self, stmts: Body) -> Tuple[bool, FunctionType]:
-        """``(suspends, fn)``: ``fn(behavior, env)`` runs ``stmts`` and is
-        a generator function exactly when ``suspends``."""
-        key = id(stmts)
-        hit = self._bodies.get(key)
-        if hit is not None and hit[0] is stmts:
-            return hit[1], hit[2]
-        entry = self._generate(_Function(self._helpers), stmts, "body", [])
-        self._bodies[key] = (stmts,) + entry
-        return entry
+    def condition(self, cond: Expr, scope: Scope) -> FunctionType:
+        """``fn(frames)``: whether ``cond`` holds over the frames of an
+        env of ``scope``."""
+        key = (id(cond), id(scope))
+        hit = self._conditions.get(key)
+        if hit is not None and hit[0] is cond:
+            return hit[1]
+        function = _Function(self.helpers)
+        function.line(1, f"return {_Writer(self, function, scope.frames).cond(cond)}")
+        fn = function.build("condition(frames)", function.hoist("frames", len(scope.frames)))
+        self._conditions[key] = (cond, fn)
+        return fn
 
-    def _generate(
-        self, function: _Function, stmts: Body, name: str, prologue: List[str]
-    ) -> Tuple[bool, FunctionType]:
-        _Writer(self, function).body(stmts, 1, "env", 0)
-        fn = function.build(f"{name}(behavior, env)", prologue, "env.kernel._signals")
-        return bool(fn.__code__.co_flags & CO_GENERATOR), fn
+    def static_wait(self, cond: Expr, frames) -> WaitCondition:
+        """The simulator-lifetime request of a ``wait until`` that reads
+        no variable in a scope of ``frames`` (its sensitivity, the free
+        names that are signals, and a generated predicate over the
+        current run's signal store)."""
+        function = _Function(self.helpers)
+        function.line(1, f"return {_Writer(self, function, frames).cond(cond)}")
+        predicate = function.build("predicate()")
+        names = frozenset(name for name in free_variables(cond) if name in self.signal_types)
+        request = WaitCondition(predicate, names, label=f"until {cond}")
+        self.static_requests.add(request)
+        return request
 
     def subprogram(self, callee: Subprogram) -> Tuple[bool, Callable]:
-        """``(suspends, fn)``: ``fn(behavior, env, *in_args)`` builds the
-        call frame from the coerced in-arguments, runs the body in the
-        call env (the callee frame, then globals) and returns the frame's
-        slots.  A call made while the callee is being generated (a
-        recursive call) goes through a generator that looks the callee
-        up when it executes."""
+        """``(suspends, fn)``: ``fn(behavior, *in_args)`` coerces the
+        in-arguments, builds the call frame's cells (parameters, then
+        locals), runs the body in the call scope (the callee frame, then
+        globals) and returns the out values in parameter order.  A call
+        made while the callee is being generated (a recursive call) goes
+        through a generator that looks the callee up when it executes."""
         entry = self._callees.get(callee.name)
         if entry is not None:
             return entry
@@ -640,39 +860,44 @@ class BodyCompiler:
             return True, self._recursive(callee.name)
         self._generating.add(callee.name)
         try:
-            function = _Function(self._helpers)
+            function = _Function(self.helpers)
             bind = function.bind
-            prologue = [
-                f"frame = _Frame({bind('call:' + callee.name)})",
-                "slots = frame.slots",
-            ]
-            params = []
+            types: Dict[str, Optional[DataType]] = {}
+            writer = _Writer(self, function, (types, self.scope.frames[-1]))
+            params, cells, values = [], [], []
             for position, param in enumerate(callee.params):
-                slot = f"slots[{bind(param.name)}] = [{bind(param.dtype)}, "
                 if param.direction is Direction.OUT:
                     # values are immutable, so the default is safe to share
-                    prologue.append(slot + f"{bind(param.dtype.default_value())}]")
+                    value = bind(param.dtype.default_value())
                 else:
-                    prologue.append(slot + f"_p{position}]")
                     params.append(f"_p{position}")
+                    value = writer._coerced(f"_p{position}", param.dtype)
+                types[param.name] = param.dtype
+                cells.append(function.made_cell((1, param.name)))
+                values.append(f"[{bind(param.dtype)}, {value}]")
             for decl in callee.decls:
-                prologue.append(
-                    f"slots[{bind(decl.name)}] = "
-                    f"[{bind(decl.dtype)}, {bind(decl.initial_value)}]"
-                )
+                types[decl.name] = decl.dtype
+                cells.append(function.made_cell((1, decl.name)))
+                values.append(f"[{bind(decl.dtype)}, {bind(decl.initial_value)}]")
             # subprogram bodies see globals + their own frame, not the
             # caller's locals (mirrors the validator's scope rule)
-            prologue.append(
-                "env = _Env(env.kernel, (frame, _state.global_frame), "
-                "env.on_read, env.on_write)"
-            )
-            _Writer(self, function).body(callee.stmt_body, 1, "env", 0)
-            function.line(1, "return slots")
-            signature = "subprogram(" + ", ".join(["behavior", "env"] + params) + ")"
-            fn = function.build(signature, prologue, "env.kernel._signals")
+            writer.body(callee.stmt_body, 1)
+            outs = [
+                function.cells[(1, param.name)]
+                for param in callee.params
+                if param.direction is not Direction.IN
+            ]
+            if outs:
+                function.line(1, "return " + "".join(f"{cell}[1], " for cell in outs))
+            prologue = []
+            if cells:
+                targets = "".join(cell + ", " for cell in cells)
+                prologue.append(f"{targets}= {', '.join(values)},")
+            prologue += function.hoist("(_state.global_frame,)", 1)
+            fn = function.build(f"subprogram({', '.join(['behavior'] + params)})", prologue)
         finally:
             self._generating.discard(callee.name)
-        entry = (bool(fn.__code__.co_flags & CO_GENERATOR), fn)
+        entry = (_generator(fn), fn)
         self._callees[callee.name] = entry
         return entry
 
@@ -681,86 +906,10 @@ class BodyCompiler:
         # that the compiler's own cache keeps alive
         compiler = weakref.ref(self)
 
-        def call(behavior, env, *args):
+        def call(behavior, *args):
             suspends, fn = compiler()._callees[name]
             if suspends:
-                return (yield from fn(behavior, env, *args))
-            return fn(behavior, env, *args)
+                return (yield from fn(behavior, *args))
+            return fn(behavior, *args)
 
         return call
-
-    def store(self, target: Expr) -> Callable[[Env, object], None]:
-        """``store(env, value)``: the reference path's ``_do_assign``,
-        output-trace recording included."""
-        store = self.expr.compile_store(target)
-        if store is None:
-            return _raiser(f"invalid assignment target {target}")
-        name = target.name if isinstance(target, VarRef) else target.base.name
-        if name not in self.output_names:
-            return store
-        observe = self.state.observe_write
-
-        def store_observed(env: Env, value) -> None:
-            store(env, value)
-            observe(name, env)
-
-        return store_observed
-
-    def static_wait(self, cond: Expr) -> Optional[WaitCondition]:
-        """The simulator-lifetime request of a ``wait until`` whose free
-        names are all pure signals (fixed sensitivity, generated
-        predicate over the current run's signal store); ``None`` when
-        the condition needs per-env resolution."""
-        names = free_variables(cond)
-        if not names <= self.pure_signals:
-            return None
-        # the run state stands in for an env: a closure over pure
-        # signals reads only ``env.kernel``'s signal store
-        function = _Function(self._helpers)
-        text = _Writer(self, function).cond(cond, "_state")
-        function.line(1, f"return {text}")
-        predicate = function.build("predicate()", [], "_state.signals")
-        request = WaitCondition(predicate, names, label=f"until {cond}")
-        self.static_requests.add(request)
-        return request
-
-    def scoped_wait(self, stmt: Wait) -> Callable[[Env], WaitCondition]:
-        """``request(env)`` for a ``wait until`` naming something a frame
-        may bind: which of its names are signals depends on the scope."""
-        cond = stmt.until
-        cond_fn = self.expr.compile(cond)
-        cond_bool = _static_bool(cond)
-        names = tuple(free_variables(cond))
-        label = f"until {cond}"
-        # Which free names are signals depends only on the names bound
-        # by each frame in the chain — static per frame *owner* — so
-        # the sensitivity set is memoised by the owner chain (stable
-        # across e.g. repeated subprogram calls, whose envs are fresh
-        # objects each time).  The whole WaitCondition (whose predicate
-        # closes over the env) is reused via the env's own resolution
-        # map: a long-lived behavior env hits forever, a churning call
-        # env rebuilds one request per call and then dies with it.
-        sens_cache: Dict[tuple, frozenset] = {}
-        # "\x00" keeps the key out of the variable-name namespace
-        wait_key = f"\x00wait:{id(stmt)}"
-        state = self.state
-
-        def request(env: Env) -> WaitCondition:
-            found = env._resolve.get(wait_key)
-            if found is not None:
-                return found
-            chain = tuple(frame.owner for frame in env.frames)
-            sensitivity = sens_cache.get(chain)
-            if sensitivity is None:
-                sensitivity = frozenset(name for name in names if env.is_signal(name))
-                sens_cache[chain] = sensitivity
-            if cond_bool:
-                predicate = lambda: cond_fn(env)  # noqa: E731
-            else:
-                predicate = lambda: truthy(cond_fn(env))  # noqa: E731
-            found = WaitCondition(predicate, sensitivity, label=label)
-            env._resolve[wait_key] = found
-            state.scoped_waits.append(found)
-            return found
-
-        return request

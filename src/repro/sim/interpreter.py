@@ -32,50 +32,36 @@ Execution strategies
 The interpreter has two paths over the same IR:
 
 * the **compiled fast path** (default, ``compile_cache=True``): each
-  statement body is generated *once* as one Python function
-  (:mod:`repro.sim.codegen`) — a leaf body, a subprogram, a static
-  wait predicate — with control flow as Python control flow and the
-  hot expression shapes inlined; the other expression nodes and every
-  variable store call :class:`ExprCompiler` closures.  Functions are
-  cached for the life of the simulator; their code objects are shared
-  across simulators and structurally identical bodies.
+  statement body, transition condition and wait predicate is generated
+  *once* as one Python function (:mod:`repro.sim.codegen`), with
+  control flow as Python control flow and every expression and store
+  inline.  A body's scope is static, so every name is bound when the
+  code is generated: a variable to its frame (the slot is hoisted when
+  the function starts), a signal to the signal store.  A ``wait
+  until`` that reads only signals is one :class:`WaitCondition` for the
+  simulator's life, ``wait for N`` one :class:`WaitDelay`; the coerced
+  value of a constant signal assignment or call argument is computed
+  once (a constant that does not fit raises when the statement
+  executes, as on the walker).  Functions are cached for the life of
+  the simulator; their code objects are shared across simulators and
+  structurally identical bodies.
 * the **reference tree walker** (``compile_cache=False``): the
   historical re-dispatching interpreter, kept as the semantic oracle —
   the equivalence suite runs both paths and compares traces.  It
-  resolves every name on every access and is unchanged by the
-  compile-time resolution below.
-
-What the compiled path resolves at compile time, once per simulator:
-
-* **pure signals** — names declared only as signals and shared by no
-  variable, parameter, subprogram local or loop variable anywhere in
-  the spec; they resolve to the kernel's signal store in every scope,
-  so reads of them are direct store reads;
-* **static waits** — a ``wait until`` over pure signals only is one
-  :class:`WaitCondition` per statement (fixed sensitivity, generated
-  predicate over the current run's signal store), and ``wait for N``
-  one :class:`WaitDelay`; bodies yield these requests inline;
-* **signal dtypes**, and the coerced value of a constant signal
-  assignment or call argument (a constant that does not fit raises
-  when the statement executes, as on the walker).
-
-What stays per env: a ``wait until`` naming a shadowed name (its
-sensitivity depends on the scope), ``wait on`` snapshots, and the
-binding frame of each variable (memoised per :class:`Env`, shared by
-reads, writes and subprogram copy-out).
+  resolves every name on every access.
 
 When a ``cost_fn`` or ``probe`` is attached, the generated bodies
-charge time and fire the probe before every statement, in the
-walker's order.
+charge time and fire the probe before every statement, and the probe's
+read/write hooks on every variable access, in the walker's order.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.errors import SimulationError
-from repro.sim.codegen import BodyCompiler
-from repro.sim.eval import Env, ExprCompiler, Frame, evaluate, truthy
+from repro.sim.codegen import BodyCompiler, Scope
+from repro.sim.eval import Env, Frame, evaluate, truthy
 from repro.sim.kernel import (
     Join,
     Kernel,
@@ -101,7 +87,6 @@ from repro.spec.stmt import (
 )
 from repro.spec.subprogram import Direction
 from repro.spec.variable import Role, StorageClass
-from repro.spec.visitor import walk_statements
 
 __all__ = [
     "DEFAULT_TIME_UNIT",
@@ -227,7 +212,7 @@ class SimulationResult:
 
 class _RunState:
     """What each :meth:`Simulator.run` rebuilds, as the generated
-    functions and closures see it.
+    functions see it.
 
     They bind this object instead of the simulator, so a simulator is
     not part of a reference cycle through its own generated code, and
@@ -239,7 +224,6 @@ class _RunState:
         "signals",
         "global_frame",
         "frames",
-        "scoped_waits",
         "trace",
         "trace_step",
         "behavior",
@@ -252,18 +236,12 @@ class _RunState:
         self.behavior = ""
 
     def clear(self) -> None:
-        #: the run's kernel (wait predicates hand this state to the
-        #: closures they call as their env: over pure signals, a closure
-        #: reads only ``env.kernel``'s signal store)
         self.kernel: Optional[Kernel] = None
-        #: the kernel's signal store (static wait predicates read it)
+        #: the kernel's signal store (generated functions read it)
         self.signals: Optional[Dict[str, object]] = None
         self.global_frame: Optional[Frame] = None
         #: behavior name -> its latest frame (the run's result frames)
         self.frames: Dict[str, Frame] = {}
-        #: the run's per-env wait requests (each memoised on its env,
-        #: whose predicate closes over that env: a cycle until dropped)
-        self.scoped_waits: List[WaitCondition] = []
 
     def enter(self, behavior: Behavior, env: Env) -> Env:
         """The env of one activation of ``behavior``: a fresh frame of
@@ -275,10 +253,11 @@ class _RunState:
         self.frames[behavior.name] = frame
         return env.child(frame)
 
-    def observe_write(self, name: str, env: Env) -> None:
-        """Record a write of output ``name`` in the run's trace."""
+    def record(self, name: str, value) -> None:
+        """Record the write of ``value`` to output ``name`` in the
+        run's trace."""
         self.trace_step += 1
-        self.trace.append(TraceEvent(self.trace_step, name, env.peek(name)))
+        self.trace.append(TraceEvent(self.trace_step, name, value))
 
 
 class Simulator:
@@ -298,10 +277,10 @@ class Simulator:
         protocol strobes use small integer delays); default 1e-9.
     compile_cache:
         Use the compiled fast path (each statement body generated once
-        as one Python function, other expression nodes closed into
-        closures, keyed by node identity).  ``False`` selects the
-        reference tree walker; results are identical — the flag exists
-        for benchmarking and differential testing.
+        as one Python function, every name bound at generation).
+        ``False`` selects the reference tree walker; results are
+        identical — the flag exists for benchmarking and differential
+        testing.
     """
 
     def __init__(
@@ -327,18 +306,11 @@ class Simulator:
             for _, decl in spec.all_declared_variables()
             if decl.kind is StorageClass.SIGNAL
         }
-        #: signals that resolve to the kernel's store in every scope
-        self._pure_signals = _pure_signal_names(spec)
         self._current_behavior = ""
-        #: expression closures (transition conditions, and the nodes
-        #: generated bodies do not inline)
-        self._expr = ExprCompiler(self._pure_signals)
-        #: generated statement-body functions (see repro.sim.codegen)
+        #: generated functions (see repro.sim.codegen)
         self._bodies = BodyCompiler(
             spec,
-            self._expr,
             self._state,
-            self._pure_signals,
             self._signal_types,
             frozenset(self._output_names),
             time_unit,
@@ -412,11 +384,13 @@ class Simulator:
         state.trace = []
         state.trace_step = 0
         state.behavior = ""
-        on_read, on_write = self._probe_hooks()
+        on_read = on_write = None
+        if self.probe is not None and not self.compile_cache:
+            on_read, on_write = self._on_env_read, self._on_env_write
         root_env = Env(kernel, (global_frame,), on_read=on_read, on_write=on_write)
         root = kernel.spawn(
             self.spec.top.name,
-            self._run_behavior(self.spec.top, root_env),
+            self._run_behavior(self.spec.top, root_env, self._bodies.scope),
         )
         try:
             kernel.run(
@@ -432,11 +406,10 @@ class Simulator:
             # that a finished simulator and its kernel are freed by
             # reference counting rather than the cyclic collector.
             # blocked()/blocked_report() read only Process fields.
-            # A request built per env (scoped ``wait until``, ``wait
-            # on``, every walker wait) is never reused: drop its
-            # predicate, which holds its env — and the kernel through
-            # it — in a cycle with the env's memo or with the process
-            # still blocked on it.  Static requests live as long as the
+            # A request built per execution is never reused: drop its
+            # predicate, which may hold its env — and the kernel through
+            # it — in a cycle with the process still blocked on it (a
+            # walker wait).  Static requests live as long as the
             # simulator.
             static = self._bodies.static_requests
             for process in kernel._processes:
@@ -444,29 +417,13 @@ class Simulator:
                 request = process._waiting_on
                 if type(request) is WaitCondition and request not in static:
                     request.predicate = None
-            for request in state.scoped_waits:
-                request.predicate = None
             self._kernel = None
             state.clear()
         return SimulationResult(
             self.spec, kernel, self._frames, state.trace, root.finished
         )
 
-    # -- profiling hooks ---------------------------------------------------------
-
-    def _probe_hooks(self) -> Tuple[Optional[Callable], Optional[Callable]]:
-        """The env read/write hooks: none without a probe; the compiled
-        path names the behavior its instrumented statements record."""
-        probe = self.probe
-        if probe is None:
-            return None, None
-        if not self.compile_cache:
-            return self._on_env_read, self._on_env_write
-        state = self._state
-        return (
-            lambda name: probe.on_read(state.behavior, name),
-            lambda name: probe.on_write(state.behavior, name),
-        )
+    # -- profiling hooks (the walker's; generated code calls the probe) ----------
 
     def _on_env_read(self, name: str) -> None:
         self.probe.on_read(self._current_behavior, name)
@@ -476,8 +433,9 @@ class Simulator:
 
     # -- behaviors ---------------------------------------------------------------
 
-    def _run_behavior(self, behavior: Behavior, env: Env) -> Iterator:
-        """The process steps of one activation of ``behavior``.
+    def _run_behavior(self, behavior: Behavior, env: Env, scope: Scope) -> Iterator:
+        """The process steps of one activation of ``behavior`` under
+        ``env``, whose frames ``scope`` describes.
 
         Each step sequence enters the behavior (creates and registers its
         frame) when it first runs, not when it is built: a process killed
@@ -487,24 +445,24 @@ class Simulator:
         are the activation itself, so a resumed process passes no wrapper
         generator per behavior level."""
         if not self.compile_cache or self.probe is not None:
-            return self._activation(behavior, env)
+            return self._activation(behavior, env, scope)
         if isinstance(behavior, CompositeBehavior):
             if behavior.is_sequential:
-                return self._run_sequential(behavior, env)
-            return self._run_concurrent(behavior, env)
+                return self._run_sequential(behavior, env, scope)
+            return self._run_concurrent(behavior, env, scope)
         if isinstance(behavior, LeafBehavior):
-            suspends, leaf = self._bodies.leaf(behavior)
+            suspends, leaf = self._bodies.leaf(behavior, scope)
             if suspends:
                 return leaf(behavior.name, env)
-        return self._activation(behavior, env)
+        return self._activation(behavior, env, scope)
 
-    def _activation(self, behavior: Behavior, env: Env) -> Iterator:
+    def _activation(self, behavior: Behavior, env: Env, scope: Scope) -> Iterator:
         kernel = self._kernel
         if self.probe is not None:
             self.probe.on_behavior_start(behavior.name, kernel.now)
         if isinstance(behavior, LeafBehavior):
             if self.compile_cache:
-                suspends, leaf = self._bodies.leaf(behavior)
+                suspends, leaf = self._bodies.leaf(behavior, scope)
                 if suspends:
                     yield from leaf(behavior.name, env)
                 else:
@@ -517,20 +475,23 @@ class Simulator:
                 )
         elif isinstance(behavior, CompositeBehavior):
             if behavior.is_sequential:
-                yield from self._run_sequential(behavior, env)
+                yield from self._run_sequential(behavior, env, scope)
             else:
-                yield from self._run_concurrent(behavior, env)
+                yield from self._run_concurrent(behavior, env, scope)
         else:
             raise SimulationError(f"unknown behavior type {behavior!r}")
         if self.probe is not None:
             self.probe.on_behavior_end(behavior.name, kernel.now)
 
-    def _run_sequential(self, behavior: CompositeBehavior, env: Env) -> Iterator:
+    def _run_sequential(
+        self, behavior: CompositeBehavior, env: Env, scope: Scope
+    ) -> Iterator:
         env = self._state.enter(behavior, env)
+        scope = scope.enter(behavior)
         current = behavior.initial
         while True:
             child = behavior.child(current)
-            yield from self._run_behavior(child, env)
+            yield from self._run_behavior(child, env, scope)
             arcs = behavior.transitions_from(current)
             if not arcs:
                 return
@@ -539,21 +500,22 @@ class Simulator:
             # evaluates them (matches the access graph's attribution)
             self._current_behavior = self._state.behavior = behavior.name
             for arc in arcs:
-                if arc.condition is None or truthy(
-                    self._eval(arc.condition, env)
-                ):
+                if arc.condition is None or self._holds(arc.condition, env, scope):
                     chosen = arc
                     break
             if chosen is None or chosen.target is None:
                 return
             current = chosen.target
 
-    def _run_concurrent(self, behavior: CompositeBehavior, env: Env) -> Iterator:
+    def _run_concurrent(
+        self, behavior: CompositeBehavior, env: Env, scope: Scope
+    ) -> Iterator:
         env = self._state.enter(behavior, env)
+        scope = scope.enter(behavior)
         kernel = self._kernel
         waited: List[Process] = []
         for child in behavior.subs:
-            process = kernel.spawn(child.name, self._run_behavior(child, env))
+            process = kernel.spawn(child.name, self._run_behavior(child, env, scope))
             if not child.daemon:
                 waited.append(process)
         if waited:
@@ -561,11 +523,12 @@ class Simulator:
 
     # -- statements -----------------------------------------------------------------
 
-    def _eval(self, expr: Expr, env: Env):
-        """Evaluate through the closure cache (or the reference walker)."""
+    def _holds(self, cond: Expr, env: Env, scope: Scope) -> bool:
+        """Whether a transition condition holds: its generated predicate
+        (or the reference walker)."""
         if self.compile_cache:
-            return self._expr.compile(expr)(env)
-        return evaluate(expr, env)
+            return self._bodies.condition(cond, scope)(env.frames)
+        return truthy(evaluate(cond, env))
 
     def _exec_body(self, stmts: Body, behavior: str, env: Env) -> Iterator:
         for stmt in stmts:
@@ -639,7 +602,7 @@ class Simulator:
 
     def _observe_write(self, name: str, env: Env) -> None:
         if name in self._output_names:
-            self._state.observe_write(name, env)
+            self._state.record(name, env.peek(name))
 
     def _make_wait(self, stmt: Wait, env: Env):
         kernel = self._kernel
@@ -704,22 +667,3 @@ class Simulator:
             if param.direction in (Direction.OUT, Direction.INOUT):
                 self._do_assign(arg, frame.read(param.name), behavior, env)
 
-
-def _pure_signal_names(spec: Specification) -> frozenset:
-    """Signals no frame can bind: declared only as signals, and shared
-    by no variable, parameter, subprogram local or loop variable."""
-    signals = set()
-    bound = set()
-    for _, decl in spec.all_declared_variables():
-        (signals if decl.kind is StorageClass.SIGNAL else bound).add(decl.name)
-    bodies = [leaf.stmt_body for leaf in spec.leaf_behaviors()]
-    for sub in spec.subprograms.values():
-        bound.update(param.name for param in sub.params)
-        bound.update(decl.name for decl in sub.decls)
-        bodies.append(sub.stmt_body)
-    for body in bodies:
-        bound.update(
-            stmt.variable for stmt in walk_statements(body)
-            if isinstance(stmt, For)
-        )
-    return frozenset(signals - bound)

@@ -28,19 +28,22 @@ from repro.spec.builder import (
     assign,
     call,
     conc,
+    for_,
     if_,
     leaf,
     loop_forever,
     sassign,
+    seq,
     skip,
     spec,
+    transition,
     wait_for,
     wait_until,
 )
 from repro.spec.expr import BinOp, Const, UnaryOp, var
 from repro.spec.stmt import For
 from repro.spec.subprogram import Direction, Param, Subprogram
-from repro.spec.types import BOOL, array_of, bits, int_type
+from repro.spec.types import BOOL, ArrayType, array_of, bits, int_type
 from repro.spec.variable import Role, signal, variable
 from repro.spec.visitor import walk_statements
 
@@ -83,6 +86,25 @@ class TestSharedCode:
         # objects than generated functions
         assert len({id(code) for code in codes[0]}) < len(codes[0]) // 2
 
+    def test_medical_cells_share_code_by_structure(self):
+        # Frame positions are bound values, never source text, so bodies
+        # of one structure share a code object whatever frames their
+        # names bind to: the 24 simulators of the 12 refined medical
+        # cells (each cell's original and refined model, default
+        # stimulus) need at most 65.
+        source = medical_specification()
+        source.validate()
+        codes = {}  # by identity: equal code objects may differ in source
+        for partition in all_designs(source).values():
+            for model in ALL_MODELS:
+                refined = Refiner(source, partition, model).run().spec
+                for design in (source, refined):
+                    simulator = Simulator(design)
+                    simulator.run(inputs=dict(MEDICAL_INPUTS))
+                    for fn in simulator._bodies.functions():
+                        codes[id(fn.__code__)] = fn.__code__
+        assert len(codes) <= 65
+
 
 def _spec_words(design):
     """Every identifier and literal a specification carries."""
@@ -121,13 +143,14 @@ class TestGeneratedSource:
             tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
             names = {t.string for t in tokens if t.type == tokenize.NAME}
             assert not names & words, source
-            # no literal at all: every constant is bound by name
+            # every constant is bound by name: the only literal is the
+            # index of the value in a variable's slot, ``cell[1]``
             literals = [
-                t.string
-                for t in tokens
+                (tokens[i - 1].string, t.string, tokens[i + 1].string)
+                for i, t in enumerate(tokens)
                 if t.type in (tokenize.NUMBER, tokenize.STRING)
             ]
-            assert literals == [], source
+            assert set(literals) <= {("[", "1", "]")}, source
 
     def test_code_memo_stays_at_its_bound(self):
         bound = codegen.CODE_MEMO_SIZE
@@ -427,3 +450,214 @@ class TestInlinedShapeParity:
         )
         outcome = _assert_parity(design)
         assert "is not a condition value" in outcome[2]
+
+
+# -- names bound at generation: walker parity per binding shape ----------------
+
+
+class TestStaticBinding:
+    """Every name is bound to its frame (or the signal store) when the
+    code is generated; each case pins that to the walker, with and
+    without a probe (outputs, trace, steps and every read/write hook)."""
+
+    def test_names_bound_in_leaf_parent_and_globally(self):
+        # ``g`` is global, ``p`` the parent's, ``u`` the leaf's; ``s`` is
+        # declared at all three levels, so the leaf's own ``s`` wins
+        body = leaf(
+            "A",
+            assign("u", var("g") + 1),
+            assign("p", var("u") * 2),
+            assign("s", var("p") + var("s")),
+            assign("g", var("p") + var("u")),
+            assign("y", var("g") + var("p") * 10 + var("s") * 100),
+            decls=[variable("u", int_type(8)), variable("s", int_type(8), init=3)],
+        )
+        after = leaf("B", assign("z", var("s") + var("p")))
+        parent = seq(
+            "P",
+            [body, after],
+            transitions=[transition("A", None, "B")],
+            decls=[variable("p", int_type(8), init=1), variable("s", int_type(8), init=5)],
+        )
+        design = spec(
+            "T",
+            parent,
+            variables=[
+                variable("g", int_type(8), init=4),
+                variable("s", int_type(8), init=7),
+                variable("y", int_type(16), role=Role.OUTPUT),
+                variable("z", int_type(16), role=Role.OUTPUT),
+            ],
+        )
+        design.validate()
+        outcome = _assert_parity(design)
+        # u = 5, p = 10, leaf s = 13, g = 15; B sees P's s = 5
+        assert outcome[3] == [("y", 15 + 100 + 1300), ("z", 15)]
+
+    def test_loop_variable_shadows_global(self):
+        design = _design(
+            assign("y", 0),
+            for_("x", 1, 3, [assign("y", var("y") + var("x"))]),
+            assign("y", var("y") * 10 + var("x")),
+        )
+        # the global x (3) is untouched by the loop over x = 1..3
+        assert _assert_parity(design)[3] == [("y", 63)]
+
+    def test_subprogram_local_shadows_global(self):
+        bump = Subprogram(
+            "bump",
+            params=[Param("a", int_type(8)), Param("r", int_type(8), Direction.OUT)],
+            decls=[variable("x", int_type(8), init=20)],
+            stmt_body=[
+                assign("x", var("x") + var("a")),
+                assign("r", var("x") + var("big")),
+            ],
+        )
+        design = _design(
+            call("bump", var("x"), var("y")),
+            assign("y", var("y") + var("x")),
+            subprograms=[bump],
+        )
+        # local x = 20 + 3; r = 23 + 1000 wraps in int<8>; global x stays 3
+        assert _assert_parity(design)[3] == [("y", (1023 + 128) % 256 - 128 + 3)]
+
+    def test_local_replaces_out_parameter(self):
+        # the callee's local r (int<16>) replaces its out parameter r
+        # (int<8>): the copied-out 1000 is coerced into y's int<8>
+        widen = Subprogram(
+            "widen",
+            params=[Param("r", int_type(8), Direction.OUT)],
+            decls=[variable("r", int_type(16), init=1000)],
+            stmt_body=[skip()],
+        )
+        design = _design(call("widen", var("y")), subprograms=[widen])
+        assert _assert_parity(design)[3] == [("y", -24)]
+
+    def test_leaf_signal_beside_ancestor_variable(self):
+        # the leaf declares a *signal* s; frames hold no signals, so its
+        # name reads resolve to the parent's variable s
+        body = leaf(
+            "A",
+            sassign("s", 9),
+            wait_for(1),
+            assign("y", var("s") + 1),
+            wait_until(var("s").eq(2)),
+            assign("y", var("y") + var("s")),
+            decls=[signal("s", int_type(8), init=0)],
+        )
+        parent = seq("P", [body], decls=[variable("s", int_type(8), init=2)])
+        design = spec(
+            "T", parent, variables=[variable("y", int_type(8), role=Role.OUTPUT)]
+        )
+        design.validate()
+        assert _assert_parity(design)[3] == [("y", 5)]
+
+    def test_condition_shared_by_composites_of_different_scopes(self):
+        # one condition node: the first composite binds k locally (1),
+        # the second reads the global k (0)
+        shared = var("k").eq(1)
+
+        def stage(name, decls):
+            return seq(
+                name,
+                [
+                    leaf(name + "_a", skip()),
+                    leaf(name + "_yes", assign("y", var("y") * 10 + 1)),
+                    leaf(name + "_no", assign("y", var("y") * 10 + 2)),
+                ],
+                transitions=[
+                    transition(name + "_a", shared, name + "_yes"),
+                    transition(name + "_a", None, name + "_no"),
+                    transition(name + "_yes", None, None),
+                ],
+                decls=decls,
+            )
+
+        top = seq(
+            "Top",
+            [stage("L", [variable("k", int_type(8), init=1)]), stage("G", [])],
+            transitions=[transition("L", None, "G")],
+        )
+        design = spec(
+            "T",
+            top,
+            variables=[
+                variable("k", int_type(8), init=0),
+                variable("y", int_type(16), role=Role.OUTPUT),
+            ],
+        )
+        design.validate()
+        assert _assert_parity(design)[3] == [("y", 12)]
+
+    def test_expression_just_past_max_inline(self):
+        def deep(operand):
+            # operand + x, then +1 -1 ... : one level past the inline limit
+            expr = BinOp("+", operand, var("x"))
+            for level in range(codegen._MAX_INLINE + 1):
+                expr = BinOp("-" if level % 2 else "+", expr, Const(1))
+            return expr
+
+        design = _design(
+            assign("y", 0),
+            for_("i", 1, 2, [assign("y", var("y") + deep(var("i")))]),
+            wait_until(BinOp(">", deep(var("y")), var("x"))),
+            assign("y", deep(var("y"))),
+        )
+        # (1 + 3 + 1) + (2 + 3 + 1), then 11 + 3 + 1
+        assert _assert_parity(design)[3] == [("y", 15)]
+
+    def test_body_just_past_max_nesting(self):
+        inner = [
+            assign("y", var("y") + var("i") * 10 + var("n")),
+            wait_for(1),
+            assign("n", var("n") + 1),
+        ]
+        for _ in range(codegen._MAX_NESTING + 1):
+            inner = [if_(var("flag"), inner)]
+        design = spec(
+            "T",
+            leaf(
+                "A",
+                assign("y", 0),
+                for_("i", 1, 2, inner),
+                assign("y", var("y") + var("n")),
+                decls=[variable("n", int_type(8), init=1)],
+            ),
+            variables=[
+                variable("flag", BOOL, init=True),
+                variable("y", int_type(16), role=Role.OUTPUT),
+            ],
+        )
+        outcome = _assert_parity(design)
+        assert outcome[3] == [("y", 11 + 22 + 3)]
+
+
+class TestArrayElementWrite:
+    """An element write coerces only the written element, on both paths."""
+
+    def _design(self, value):
+        return _design(
+            assign(var("arr").index(var("x") - 2), value),
+            assign("y", var("arr").index(1)),
+        )
+
+    @pytest.mark.parametrize("compile_cache", [True, False])
+    def test_only_the_element_is_coerced(self, monkeypatch, compile_cache):
+        design = self._design(300)
+        calls = []
+        coerce = ArrayType.coerce
+
+        def spy(self, value):
+            calls.append(value)
+            return coerce(self, value)
+
+        monkeypatch.setattr(ArrayType, "coerce", spy)
+        result = Simulator(design, compile_cache=compile_cache).run()
+        assert calls == []
+        # 300 wraps into the int<8> element
+        assert result.value_of("arr") == (0, 44, 0, 0)
+        assert result.output_values()["y"] == 44
+
+    def test_misfit_element_parity(self):
+        outcome = _assert_parity(self._design(var("arr")))
+        assert outcome[0] == "error" and "cannot coerce" in outcome[2]

@@ -1,11 +1,10 @@
 """Compile-time name resolution in the compiled simulator.
 
-The compiled fast path resolves *pure* signals — names declared only as
-signals, shared by no variable, parameter, local or loop variable — once
-per :class:`Simulator`: a ``wait until`` over pure signals is one
-request reused for the simulator's lifetime, and signal assignments
-take their dtype (and a constant right-hand side its coerced value) at
-compile time.  Every test here pins the compiled path to the reference
+The compiled fast path binds every name when it generates a body: a
+name that no frame of the body's scope declares reads the signal store,
+a ``wait until`` that reads only signals is one request reused for the
+simulator's lifetime, and signal assignments take their dtype (and a
+constant right-hand side its coerced value) at compile time.  Every test here pins the compiled path to the reference
 tree walker (``compile_cache=False``): outputs, output trace, steps,
 simulated time and error text must match.
 """
@@ -27,7 +26,7 @@ from repro.exec.campaigns import sweep_inputs
 from repro.models.impl_models import ALL_MODELS
 from repro.refine.refiner import Refiner
 from repro.sim import Probe, Simulator
-from repro.sim.eval import Env, ExprCompiler, evaluate, truthy
+from repro.sim.eval import Env, evaluate, truthy
 from repro.sim.kernel import Kernel
 from repro.spec.builder import (
     assign,
@@ -181,7 +180,8 @@ def _signal_cases():
 class TestSignalExprCompiler:
     """Static wait predicates — one generated function over the signal
     store, with flattened chains — evaluate exactly like the walker's
-    ``truthy(evaluate(cond, env))``."""
+    ``truthy(evaluate(cond, env))``, and the same expression as a
+    generated value gives the walker's value."""
 
     @pytest.mark.parametrize("expr", _signal_cases(), ids=str)
     def test_parity_over_every_assignment(self, expr):
@@ -191,7 +191,8 @@ class TestSignalExprCompiler:
             variables=[signal(name, int_type(4)) for name in "abc"],
         )
         simulator = Simulator(design)
-        predicate = simulator._bodies.static_wait(expr).predicate
+        bodies = simulator._bodies
+        predicate = bodies.static_wait(expr, bodies.scope.frames).predicate
         for a in (0, 1, 2):
             for b in (0, 1):
                 for c in (0, 1, 2):
@@ -206,8 +207,29 @@ class TestSignalExprCompiler:
                     assert got == walker, (a, b, c)
                     assert type(got) is type(walker)
                     expected = _value_or_error(lambda: evaluate(expr, env))
-                    pure = ExprCompiler({"a", "b", "c"}).compile(expr)
-                    assert _value_or_error(lambda: pure(env)) == expected
+                    assert _generated_value(expr, (a, b, c)) == expected
+
+
+def _generated_value(expr, values):
+    """``expr`` over signals ``a, b, c`` holding ``values``, as the
+    value a generated one-statement leaf stores (both paths agree)."""
+    outcomes = []
+    for compile_cache in (True, False):
+        design = spec(
+            "V",
+            leaf("A", assign("out", expr)),
+            variables=[
+                *(signal(n, int_type(4), init=v) for n, v in zip("abc", values)),
+                variable("out", int_type(32), role=Role.OUTPUT),
+            ],
+        )
+        outcomes.append(
+            _value_or_error(
+                lambda: Simulator(design, compile_cache=compile_cache).run().trace[0].value
+            )
+        )
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
 
 
 def _value_or_error(thunk):

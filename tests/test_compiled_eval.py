@@ -1,26 +1,27 @@
-"""Cached (compiled) evaluation must be indistinguishable from the
-reference tree walker: same values, same error messages, same designs.
+"""Compiled evaluation must be indistinguishable from the reference
+tree walker: same values, same error messages, same designs.
 
 The compiled fast path (``Simulator(compile_cache=True)``, the default)
-closes every expression/statement into a Python closure once; these
-tests pin its behavior to the interpretive walker
-(``compile_cache=False``), including the constant-operand fusions and
-boolean refinements in :class:`repro.sim.eval.ExprCompiler`.
+generates every statement body and expression as Python source once
+(:mod:`repro.sim.codegen`); these tests pin its behavior to the
+interpretive walker (``compile_cache=False``), including the
+constant-operand forms and boolean refinements the generator emits.
+Each expression runs as the value of a one-statement leaf on both paths.
 """
 
 import pytest
 
 from repro.apps.medical import MEDICAL_INPUTS, all_designs, medical_specification
-from repro.errors import SimulationError
+from repro.errors import ReproError, SimulationError
 from repro.models.impl_models import ALL_MODELS
 from repro.refine.refiner import Refiner
 from repro.sim import Simulator
-from repro.sim.eval import Env, ExprCompiler, Frame, evaluate
+from repro.sim.eval import Env, Frame, evaluate
 from repro.sim.kernel import Kernel
 from repro.spec.builder import assign, leaf, spec
 from repro.spec.expr import BINARY_OPS, BinOp, Const, Index, UnaryOp, VarRef, var
-from repro.spec.types import int_type
-from repro.spec.variable import variable
+from repro.spec.types import BOOL, array_of, int_type
+from repro.spec.variable import Role, signal, variable
 
 
 def make_env():
@@ -33,6 +34,41 @@ def make_env():
     frame.declare_raw("flag", True)
     frame.declare_raw("arr", (10, 20, 30))
     return Env(kernel, (frame,))
+
+
+def _leaf_outcome(expr, compile_cache):
+    """Run ``out := expr`` as the one statement of a leaf over the
+    values of :func:`make_env`; the output's type takes the walker's
+    value unchanged (a boolean, or an int of at most 32 bits)."""
+    try:
+        boolean = isinstance(evaluate(expr, make_env()), bool)
+    except SimulationError:
+        boolean = False
+    design = spec(
+        "T",
+        leaf("A", assign("out", expr)),
+        variables=[
+            variable("x", int_type(8), init=7),
+            variable("y", int_type(8), init=-2),
+            variable("zero", int_type(8), init=0),
+            variable("flag", BOOL, init=True),
+            variable("arr", array_of(int_type(8), 3), init=(10, 20, 30)),
+            signal("sig", int_type(8), init=3),
+            variable("out", BOOL if boolean else int_type(32), role=Role.OUTPUT),
+        ],
+    )
+    try:
+        result = Simulator(design, compile_cache=compile_cache).run()
+    except ReproError as exc:
+        return ("error", type(exc).__name__, str(exc))
+    [event] = result.trace
+    return event.value, type(event.value)
+
+
+def _assert_parity(expr):
+    compiled = _leaf_outcome(expr, compile_cache=True)
+    assert compiled == _leaf_outcome(expr, compile_cache=False)
+    return compiled
 
 
 def parity_cases():
@@ -79,43 +115,35 @@ def parity_cases():
 class TestExpressionParity:
     @pytest.mark.parametrize("expr", parity_cases(), ids=str)
     def test_compiled_matches_walker(self, expr):
-        env = make_env()
-        compiled = ExprCompiler().compile(expr)
-        assert compiled(env) == evaluate(expr, env)
-
-    def test_compile_is_memoized_by_node(self):
-        compiler = ExprCompiler()
-        expr = BinOp("+", VarRef("x"), Const(1))
-        assert compiler.compile(expr) is compiler.compile(expr)
+        outcome = _assert_parity(expr)
+        assert outcome[0] != "error"
+        assert outcome[0] == evaluate(expr, make_env())
 
     @pytest.mark.parametrize("op", ["/", "mod"])
     def test_zero_division_message_parity(self, op):
-        expr = BinOp(op, VarRef("x"), VarRef("zero"))
-        with pytest.raises(SimulationError) as compiled_error:
-            ExprCompiler().compile(expr)(make_env())
-        with pytest.raises(SimulationError) as walker_error:
-            evaluate(expr, make_env())
-        assert str(compiled_error.value) == str(walker_error.value)
+        outcome = _assert_parity(BinOp(op, VarRef("x"), VarRef("zero")))
+        assert outcome[0] == "error" and "by zero" in outcome[2]
 
     @pytest.mark.parametrize("op", ["/", "mod"])
     def test_const_zero_divisor_message_parity(self, op):
         # '/' and 'mod' have no constant-operand fast path precisely so
         # a literal zero divisor raises the walker's exact runtime error
-        expr = BinOp(op, VarRef("x"), Const(0))
-        with pytest.raises(SimulationError) as compiled_error:
-            ExprCompiler().compile(expr)(make_env())
-        with pytest.raises(SimulationError) as walker_error:
-            evaluate(expr, make_env())
-        assert str(compiled_error.value) == str(walker_error.value)
+        outcome = _assert_parity(BinOp(op, VarRef("x"), Const(0)))
+        assert outcome[0] == "error" and "by zero" in outcome[2]
 
     @pytest.mark.parametrize("op", ["/", "mod"])
     def test_const_zero_divisor_not_folded_at_compile_time(self, op):
-        # compiling must not evaluate the division: the error is a
-        # runtime property of the expression, not a compile-time one
-        expr = BinOp(op, VarRef("x"), Const(0))
-        compiled = ExprCompiler().compile(expr)  # must not raise
+        # generating the leaf must not evaluate the division: the error
+        # is a runtime property of the statement, not a compile-time one
+        design = spec(
+            "T",
+            leaf("A", assign("out", BinOp(op, var("x"), Const(0)))),
+            variables=[variable("x", int_type(), init=1), variable("out", int_type())],
+        )
+        simulator = Simulator(design)
+        simulator._bodies.leaf(design.top, simulator._bodies.scope)  # must not raise
         with pytest.raises(SimulationError):
-            compiled(make_env())
+            simulator.run()
 
     @pytest.mark.parametrize(
         "expr",
@@ -131,27 +159,12 @@ class TestExpressionParity:
         ids=str,
     )
     def test_bool_arithmetic_rejected_identically(self, expr):
-        with pytest.raises(SimulationError) as compiled_error:
-            ExprCompiler().compile(expr)(make_env())
-        with pytest.raises(SimulationError) as walker_error:
-            evaluate(expr, make_env())
-        assert str(compiled_error.value) == str(walker_error.value)
+        outcome = _assert_parity(expr)
+        assert outcome[0] == "error" and "non-integer" in outcome[2]
 
     def test_unbound_name_message_parity(self):
-        expr = VarRef("missing")
-        with pytest.raises(SimulationError) as compiled_error:
-            ExprCompiler().compile(expr)(make_env())
-        with pytest.raises(SimulationError) as walker_error:
-            evaluate(expr, make_env())
-        assert str(compiled_error.value) == str(walker_error.value)
-
-    def test_resolution_cache_is_per_env(self):
-        compiled = ExprCompiler().compile(VarRef("x"))
-        env_a, env_b = make_env(), make_env()
-        assert compiled(env_a) == 7
-        env_b.frames[0].slots["x"][1] = 100
-        assert compiled(env_b) == 100  # no cross-env leakage
-        assert compiled(env_a) == 7
+        outcome = _assert_parity(VarRef("missing"))
+        assert outcome == ("error", "SimulationError", "runtime: name 'missing' is not bound")
 
 
 def run_both_modes(design_spec, inputs=None):
