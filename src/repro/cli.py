@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import signal
 import sys
 from typing import Dict, List, Optional
@@ -137,6 +138,26 @@ def _parse_limits(args):
         max_steps=max_steps if max_steps is not None else defaults.max_steps,
         max_delta=max_delta if max_delta is not None else defaults.max_delta,
     )
+
+
+def _write_output(path: str, text: str) -> None:
+    """Write ``text`` to the file ``path``, creating its directory."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as handle:
+        handle.write(text)
+
+
+def _write_trace(tracer, path: str) -> int:
+    """Validate ``tracer``'s Chrome trace and write it to ``path``;
+    returns its event count."""
+    import json
+
+    from repro.obs.trace import validate_chrome_trace
+
+    payload = tracer.to_chrome_json()
+    events = validate_chrome_trace(json.loads(payload))
+    _write_output(path, payload + "\n")
+    return events
 
 
 def _add_workload_option(p) -> None:
@@ -364,10 +385,7 @@ def _cmd_simulate(args) -> int:
     for name, value in result.output_values().items():
         print(f"  {name} = {value}")
     if observer is not None:
-        import os
-
-        os.makedirs(os.path.dirname(args.vcd) or ".", exist_ok=True)
-        observer.write(args.vcd)
+        _write_output(args.vcd, observer.dump())
         print(
             f"VCD waveform written to {args.vcd} "
             f"({len(observer.changes)} signal changes)"
@@ -414,8 +432,7 @@ def _cmd_refine(args) -> int:
     ).run()
     print(design.describe())
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(print_specification(design.spec))
+        _write_output(args.output, print_specification(design.spec))
         print(f"refined specification written to {args.output}")
     return 0
 
@@ -443,8 +460,7 @@ def _cmd_export_c(args) -> int:
     spec = _load_spec(args.file)
     source = export_c(spec, inputs=_parse_inputs(args.input))
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(source)
+        _write_output(args.output, source)
         print(f"C translation unit written to {args.output}")
     else:
         sys.stdout.write(source)
@@ -465,8 +481,7 @@ def _cmd_export_vhdl(args) -> int:
         spec = design.spec
     source = export_vhdl(spec, entity_name=args.entity)
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(source)
+        _write_output(args.output, source)
         print(f"VHDL written to {args.output}")
     else:
         sys.stdout.write(source)
@@ -516,11 +531,7 @@ def _cmd_robustness(args) -> int:
         rendered = result.render()
         print(rendered)
         if args.output:
-            import os
-
-            os.makedirs(os.path.dirname(args.output) or ".", exist_ok=True)
-            with open(args.output, "w") as handle:
-                handle.write(rendered + "\n")
+            _write_output(args.output, rendered + "\n")
             print(f"\ncampaign table written to {args.output}")
         _print_exec_stats(engine)
     return 1 if result.unexpected() else 0
@@ -546,11 +557,7 @@ def _cmd_profile(args) -> int:
     else:
         print(report.render())
     if args.output:
-        import os
-
-        os.makedirs(os.path.dirname(args.output) or ".", exist_ok=True)
-        with open(args.output, "w") as handle:
-            handle.write(report.as_json() + "\n")
+        _write_output(args.output, report.as_json() + "\n")
         if not args.json:
             print(f"\nprofile JSON written to {args.output}")
     return 0 if report.equivalent in (True, None) else 1
@@ -572,12 +579,10 @@ def _default_inputs(spec, args) -> Dict[str, object]:
 
 
 def _cmd_trace(args) -> int:
-    import json
-
     from repro.estimate import profile_specification
     from repro.export import export_c, export_vhdl
     from repro.models import resolve_model
-    from repro.obs.trace import SpanTracer, validate_chrome_trace
+    from repro.obs.trace import SpanTracer
     from repro.refine import Refiner
     from repro.sim import Simulator
 
@@ -631,14 +636,8 @@ def _cmd_trace(args) -> int:
             span.set("steps", run.steps)
 
     print(tracer.describe())
-    payload = tracer.to_chrome_json()
-    events = validate_chrome_trace(json.loads(payload))
     if args.output:
-        import os
-
-        os.makedirs(os.path.dirname(args.output) or ".", exist_ok=True)
-        with open(args.output, "w") as handle:
-            handle.write(payload + "\n")
+        events = _write_trace(tracer, args.output)
         print(
             f"\nChrome trace ({events} events) written to {args.output} "
             "- load it in Perfetto or chrome://tracing"
@@ -674,26 +673,16 @@ def _cmd_fuzz(args) -> int:
         rendered = report.as_json() if args.json else report.render()
         print(rendered)
         if args.output:
-            import os
-
-            os.makedirs(os.path.dirname(args.output) or ".", exist_ok=True)
-            with open(args.output, "w") as handle:
-                handle.write(rendered + "\n")
+            _write_output(args.output, rendered + "\n")
             print(f"\ncampaign report written to {args.output}")
         if tracer is not None:
-            import os
-
-            os.makedirs(os.path.dirname(args.trace) or ".", exist_ok=True)
-            with open(args.trace, "w") as handle:
-                handle.write(tracer.to_chrome_json() + "\n")
+            _write_trace(tracer, args.trace)
             print(f"Chrome trace written to {args.trace}")
         _print_exec_stats(engine)
     return 0 if report.ok else 1
 
 
 def _cmd_sweep(args) -> int:
-    import json
-
     from repro.experiments.sweep import run_sweep
 
     tracer = None
@@ -718,30 +707,16 @@ def _cmd_sweep(args) -> int:
         rendered = result.as_json() if args.json else result.render()
         print(rendered)
         if args.output:
-            import os
-
-            os.makedirs(os.path.dirname(args.output) or ".", exist_ok=True)
-            with open(args.output, "w") as handle:
-                handle.write(rendered + "\n")
+            _write_output(args.output, rendered + "\n")
             print(f"\nsweep table written to {args.output}")
         if tracer is not None:
-            import os
-
-            from repro.obs.trace import validate_chrome_trace
-
-            payload = tracer.to_chrome_json()
-            validate_chrome_trace(json.loads(payload))
-            os.makedirs(os.path.dirname(args.trace) or ".", exist_ok=True)
-            with open(args.trace, "w") as handle:
-                handle.write(payload + "\n")
+            _write_trace(tracer, args.trace)
             print(f"Chrome trace written to {args.trace}")
         _print_exec_stats(engine)
     return 0 if result.ok else 1
 
 
 def _cmd_explore(args) -> int:
-    import json
-
     from repro.experiments.explore import run_explore
 
     tracer = None
@@ -775,22 +750,10 @@ def _cmd_explore(args) -> int:
         rendered = result.as_json() if args.json else result.render()
         print(rendered)
         if args.output:
-            import os
-
-            os.makedirs(os.path.dirname(args.output) or ".", exist_ok=True)
-            with open(args.output, "w") as handle:
-                handle.write(rendered + "\n")
+            _write_output(args.output, rendered + "\n")
             print(f"\nexplore report written to {args.output}")
         if tracer is not None:
-            import os
-
-            from repro.obs.trace import validate_chrome_trace
-
-            payload = tracer.to_chrome_json()
-            validate_chrome_trace(json.loads(payload))
-            os.makedirs(os.path.dirname(args.trace) or ".", exist_ok=True)
-            with open(args.trace, "w") as handle:
-                handle.write(payload + "\n")
+            _write_trace(tracer, args.trace)
             print(f"Chrome trace written to {args.trace}")
         _print_exec_stats(engine)
     return 0
@@ -863,19 +826,12 @@ def _cmd_loadgen(args) -> int:
             server.wait(timeout=10.0)
     print(result.report, end="")
     if args.output:
-        import os
-
-        os.makedirs(os.path.dirname(args.output) or ".", exist_ok=True)
-        with open(args.output, "w") as handle:
-            handle.write(result.report)
+        _write_output(args.output, result.report)
         print(f"report written to {args.output}", file=sys.stderr)
     if args.timings:
-        import json as _json
-        import os
+        import json
 
-        os.makedirs(os.path.dirname(args.timings) or ".", exist_ok=True)
-        with open(args.timings, "w") as handle:
-            handle.write(_json.dumps(result.timings, indent=2, sort_keys=True) + "\n")
+        _write_output(args.timings, json.dumps(result.timings, indent=2, sort_keys=True) + "\n")
         print(f"timing sidecar written to {args.timings}", file=sys.stderr)
     return 0 if result.ok else 1
 

@@ -132,7 +132,6 @@ def profile_specification(
     timing: Optional[TimingModel] = None,
     inputs: Optional[Dict[str, object]] = None,
     graph: Optional[AccessGraph] = None,
-    max_steps: int = 2_000_000,
     metrics=None,
 ) -> ProfileResult:
     """Profile by simulating the original specification once.
@@ -156,7 +155,7 @@ def profile_specification(
         cost_fn=cost_function(partition, allocation, timing),
         probe=probe,
     )
-    run = simulator.run(inputs=inputs, max_steps=max_steps, metrics=metrics)
+    run = simulator.run(inputs=inputs, metrics=metrics)
     result.kernel_metrics = metrics
     if not run.completed:
         raise EstimationError(

@@ -21,7 +21,7 @@ from repro.models import resolve_model
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import SpanTracer
 from repro.refine.refiner import Refiner
-from repro.sim.equivalence import check_equivalence
+from repro.sim.equivalence import compare_runs
 from repro.sim.interpreter import Simulator
 from repro.sim.metrics import SimMetrics
 from repro.spec.specification import Specification
@@ -148,7 +148,6 @@ def run_profile(
     design: str = "",
     inputs: Optional[Dict[str, object]] = None,
     limits=None,
-    max_steps: Optional[int] = None,
     verify: bool = True,
     registry: Optional[MetricsRegistry] = None,
 ) -> ProfileReport:
@@ -157,7 +156,8 @@ def run_profile(
     ``spec`` must already be validated; ``partition`` assigns behaviors
     to components (``design`` is just the label reported).  ``inputs``
     defaults to the medical stimulus when the spec defines those ports,
-    else to no inputs.  ``verify=False`` skips the co-simulation phase.
+    else to no inputs.  The verify phase compares the two runs the
+    simulate phases made; ``verify=False`` skips it.
 
     ``registry`` is an optional :class:`repro.obs.metrics.MetricsRegistry`
     the run publishes into (kernel counters per run, phase seconds).  A
@@ -186,26 +186,18 @@ def run_profile(
     report.procedure_seconds = dict(refined.procedure_seconds)
 
     with tracer.span("simulate-original", category="phase"):
-        Simulator(spec).run(
-            inputs=dict(inputs),
-            limits=limits,
-            max_steps=max_steps,
-            metrics=report.original_metrics,
+        original_run = Simulator(spec).run(
+            inputs=dict(inputs), limits=limits, metrics=report.original_metrics
         )
     with tracer.span("simulate-refined", category="phase"):
-        run = Simulator(refined.spec).run(
-            inputs=dict(inputs),
-            limits=limits,
-            max_steps=max_steps,
-            metrics=report.refined_metrics,
+        refined_run = Simulator(refined.spec).run(
+            inputs=dict(inputs), limits=limits, metrics=report.refined_metrics
         )
-    report.simulated_time = run.time
+    report.simulated_time = refined_run.time
 
     if verify:
         with tracer.span("verify", category="phase"):
-            outcome = check_equivalence(
-                refined, inputs=dict(inputs), limits=limits, max_steps=max_steps
-            )
+            outcome = compare_runs(refined, dict(inputs), original_run, refined_run)
         report.equivalent = outcome.equivalent
 
     registry = registry if registry is not None else MetricsRegistry()

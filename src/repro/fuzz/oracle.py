@@ -40,6 +40,7 @@ from repro.partition.partition import Partition
 from repro.refine.refiner import Refiner
 from repro.sim.equivalence import check_equivalence
 from repro.sim.interpreter import SimulationResult, Simulator
+from repro.sim.kernel import KernelLimits
 from repro.spec.specification import Specification
 from repro.spec.variable import Role, StorageClass
 
@@ -161,7 +162,9 @@ class _Outcome:
 def _run(simulator: Simulator, inputs: Dict[str, int],
          max_steps: int) -> _Outcome:
     try:
-        result = simulator.run(inputs=inputs, max_steps=max_steps)
+        result = simulator.run(
+            inputs=inputs, limits=KernelLimits(max_steps=max_steps)
+        )
     except ReproError as exc:
         return _Outcome(simulator.spec, None, exc)
     return _Outcome(simulator.spec, result, None)
@@ -293,7 +296,7 @@ def check_refinement(
         for inputs in input_vectors:
             try:
                 report = check_equivalence(
-                    design, inputs=inputs, max_steps=max_steps
+                    design, inputs=inputs, limits=KernelLimits(max_steps=max_steps)
                 )
             except Exception as exc:
                 if text is None:

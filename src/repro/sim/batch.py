@@ -27,12 +27,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ReproError
-from repro.sim.interpreter import (
-    DEFAULT_TIME_UNIT,
-    Probe,
-    SimulationResult,
-    Simulator,
-)
+from repro.sim.interpreter import Probe, SimulationResult, Simulator
 from repro.sim.kernel import KernelLimits
 from repro.spec.specification import Specification
 from repro.spec.stmt import Stmt
@@ -85,8 +80,7 @@ class BatchSimulator:
 
     Parameters mirror :class:`~repro.sim.interpreter.Simulator` (minus
     fault injection): ``cost_fn`` and ``probe`` instrument every run,
-    ``time_unit`` scales ``wait for`` delays, ``compile_cache=False``
-    selects the reference tree walker.  One instance may run many
+    ``compile_cache=False`` selects the reference tree walker.  One instance may run many
     batches; its generated code persists across them.
     """
 
@@ -98,22 +92,16 @@ class BatchSimulator:
         spec: Specification,
         cost_fn: Optional[Callable[[str, Stmt], float]] = None,
         probe: Optional[Probe] = None,
-        time_unit: float = DEFAULT_TIME_UNIT,
         compile_cache: bool = True,
     ):
         self._sim = Simulator(
-            spec,
-            cost_fn=cost_fn,
-            probe=probe,
-            time_unit=time_unit,
-            compile_cache=compile_cache,
+            spec, cost_fn=cost_fn, probe=probe, compile_cache=compile_cache
         )
         self.spec = spec
 
     def run_batch(
         self,
         stimuli: Sequence[Optional[Dict[str, object]]],
-        max_steps: Optional[int] = None,
         limits: Optional[KernelLimits] = None,
         require_completion: bool = False,
     ) -> List[LaneOutcome]:
@@ -121,7 +109,7 @@ class BatchSimulator:
 
         ``stimuli`` holds one inputs dict (or ``None``) per lane; lane
         *i*'s :class:`LaneOutcome` is item *i* of the returned list.
-        ``max_steps``, ``limits`` and ``require_completion`` apply to
+        ``limits`` and ``require_completion`` apply to
         each run exactly as in :meth:`Simulator.run`; ``wall_clock``
         therefore budgets each run, not the whole batch.  A run that
         raises a :class:`ReproError` becomes a faulted lane and the
@@ -133,7 +121,6 @@ class BatchSimulator:
             try:
                 result = self._sim.run(
                     inputs=inputs,
-                    max_steps=max_steps,
                     limits=limits,
                     require_completion=require_completion,
                 )

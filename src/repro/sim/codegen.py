@@ -10,9 +10,10 @@ store, and compiles it with :func:`compile`:
 * a subprogram becomes ``subprogram(behavior, *in_args)``: it coerces
   its in-arguments, builds its parameters and locals, runs its body and
   returns its out values; the call site copies them out;
-* a transition condition becomes ``condition(frames)`` over the frames
-  of the composite's env, and a ``wait until`` that reads no variable
-  becomes ``predicate()`` over the current run's signal store.
+* a transition condition becomes ``condition(behavior, frames)`` over
+  the frames of the composite ``behavior``'s env, and a ``wait until``
+  that reads no variable becomes ``predicate()`` over the current run's
+  signal store.
 
 A body function is a generator exactly when something inside it can
 suspend (a wait, a call of a suspending subprogram, or a positive
@@ -37,10 +38,12 @@ the signal store):
 
 Probe hooks (``on_read``/``on_write``) and the per-statement charge are
 generated only when a probe or ``cost_fn`` is attached, in the walker's
-order.  ``=``, ``/=``, ``and``, ``or``, ``not``, and comparisons and
-``+ - *`` against an int constant are inline; every other operator
-node calls the walker's own helper in :mod:`repro.sim.eval`, so errors
-and messages match.  A
+order.  A hook names the ``behavior`` its function was passed (a deep
+expression's function and a ``wait until`` predicate get it too), so
+concurrent processes report their own accesses.  ``=``, ``/=``,
+``and``, ``or``, ``not``, and comparisons and ``+ - *`` against an int
+constant are inline; every other operator node calls the walker's own
+helper in :mod:`repro.sim.eval`, so errors and messages match.  A
 ``wait until`` that reads a variable builds its request each time it
 executes (its sensitivity, the names that are signals in its scope, is
 bound); a store to an output records its trace event with the written
@@ -104,6 +107,11 @@ from repro.spec.types import BitVectorType, DataType, IntType
 from repro.spec.variable import StorageClass
 
 __all__ = ["CODE_MEMO_SIZE", "BodyCompiler", "Scope"]
+
+#: Seconds represented by one ``wait for 1`` tick — the scale fault
+#: scenarios expressed in protocol ticks must be multiplied by
+#: (:meth:`repro.sim.faults.FaultScenario.scaled`).
+DEFAULT_TIME_UNIT = 1e-9
 
 #: Code objects kept by the process-wide memo (least recently used
 #: evicted first).  Kept workers of the serve daemon compile many
@@ -290,6 +298,8 @@ class _Function:
         #: the body reads the signal store / writes signals (hoisted)
         self.reads_signals = False
         self.writes_signals = False
+        #: the body fires a probe hook, so it needs ``behavior``
+        self.hooks = False
         #: variable -> the local holding its cell
         self.cells: Dict[Key, str] = {}
         #: variables whose cells come from outside the function
@@ -393,7 +403,8 @@ class _Writer:
         return None
 
     def _hook(self, hook: str, name: str) -> str:
-        return f"{hook}(_state.behavior, {self.fn.bind(name)})"
+        self.fn.hooks = True
+        return f"{hook}(behavior, {self.fn.bind(name)})"
 
     # -- expressions -----------------------------------------------------------
 
@@ -458,11 +469,14 @@ class _Writer:
 
     def _value_function(self, expr: Expr) -> str:
         """``expr`` as a call of a generated function of its own (too
-        deep to inline), passed the cells it reads."""
+        deep to inline), passed the cells it reads — and the behavior,
+        when it fires a probe hook."""
         sub = _Function(self.compiler.helpers)
         sub.line(1, f"return {_Writer(self.compiler, sub, self.frames).expr(expr)}")
-        value = sub.build(f"value({', '.join(sub.params())})")
-        return f"{self.fn.bind(value)}({', '.join(self.fn.arguments(sub))})"
+        head = ["behavior"] if sub.hooks else []
+        self.fn.hooks |= sub.hooks
+        value = sub.build(f"value({', '.join(head + sub.params())})")
+        return f"{self.fn.bind(value)}({', '.join(head + self.fn.arguments(sub))})"
 
     def _coerced(self, value: str, dtype: DataType) -> str:
         """``value`` coerced to ``dtype`` (an int within the type's
@@ -550,12 +564,11 @@ class _Writer:
             fn.line(depth, f"{fn.bind(_raiser(f'unknown statement {stmt!r}'))}()")
 
     def _charge(self, stmt: Stmt, depth: int) -> None:
-        """The reference path's ``_charge``, inline: name the behavior,
-        call ``cost_fn``, fire the probe, then delay by a positive cost."""
+        """The reference path's ``_charge``, inline: call ``cost_fn``,
+        fire the probe, then delay by a positive cost."""
         fn = self.fn
         compiler = self.compiler
         node = fn.bind(stmt)
-        fn.line(depth, "_state.behavior = behavior")
         cost = "_no_cost"
         if compiler.cost_fn is not None:
             cost = "_cost"
@@ -652,7 +665,7 @@ class _Writer:
         fn = self.fn
         compiler = self.compiler
         if stmt.delay is not None:
-            return fn.bind(WaitDelay(stmt.delay * compiler.time_unit))
+            return fn.bind(WaitDelay(stmt.delay * DEFAULT_TIME_UNIT))
         if stmt.until is None:
             names = tuple(stmt.on)
             label = "on " + ", ".join(names)
@@ -743,7 +756,7 @@ class BodyCompiler:
     """Generates and caches the functions of one simulator.
 
     ``state`` is the simulator's per-run state (``kernel``, ``signals``,
-    ``global_frame``, ``behavior``, ``enter``, ``record``); generated
+    ``global_frame``, ``enter``, ``record``); generated
     functions bind it, never the simulator.  ``signal_types`` maps
     every signal a run registers to its dtype.  Leaf functions and
     transition conditions are cached by node identity and scope (each
@@ -757,14 +770,12 @@ class BodyCompiler:
         state,
         signal_types: Dict[str, DataType],
         output_names: frozenset,
-        time_unit: float,
         cost_fn=None,
         probe=None,
     ):
         self.spec = spec
         self.signal_types = signal_types
         self.output_names = output_names
-        self.time_unit = time_unit
         self.cost_fn = cost_fn
         self.probe = probe
         self.instrumented = cost_fn is not None or probe is not None
@@ -821,15 +832,18 @@ class BodyCompiler:
         return self._leaves[key][1:]
 
     def condition(self, cond: Expr, scope: Scope) -> FunctionType:
-        """``fn(frames)``: whether ``cond`` holds over the frames of an
-        env of ``scope``."""
+        """``fn(behavior, frames)``: whether ``cond`` holds over the
+        frames of an env of ``scope`` (a probe hears its reads under the
+        composite ``behavior``)."""
         key = (id(cond), id(scope))
         hit = self._conditions.get(key)
         if hit is not None and hit[0] is cond:
             return hit[1]
         function = _Function(self.helpers)
         function.line(1, f"return {_Writer(self, function, scope.frames).cond(cond)}")
-        fn = function.build("condition(frames)", function.hoist("frames", len(scope.frames)))
+        fn = function.build(
+            "condition(behavior, frames)", function.hoist("frames", len(scope.frames))
+        )
         self._conditions[key] = (cond, fn)
         return fn
 

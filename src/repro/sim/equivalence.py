@@ -94,7 +94,6 @@ class EquivalenceReport:
 def check_equivalence(
     design: RefinedDesign,
     inputs: Optional[Dict[str, object]] = None,
-    max_steps: Optional[int] = None,
     limits=None,
     injector=None,
     require_completion: bool = False,
@@ -102,8 +101,7 @@ def check_equivalence(
     """Co-simulate and compare original vs refined.
 
     ``limits`` (a :class:`repro.sim.kernel.KernelLimits`) bounds both
-    runs; ``max_steps`` is a shorthand overriding ``limits.max_steps``.
-    ``injector`` attaches a fault injector to the *refined* run only
+    runs.  ``injector`` attaches a fault injector to the *refined* run only
     (the original is the golden reference), and with
     ``require_completion=True`` a refined run that goes quiescent
     without finishing raises :class:`repro.errors.DeadlockError`
@@ -111,12 +109,9 @@ def check_equivalence(
     campaign's detection path.
     """
     inputs = dict(inputs or {})
-    original_run = Simulator(design.original).run(
-        inputs=inputs, max_steps=max_steps, limits=limits
-    )
+    original_run = Simulator(design.original).run(inputs=inputs, limits=limits)
     refined_run = Simulator(design.spec).run(
         inputs=inputs,
-        max_steps=max_steps,
         limits=limits,
         injector=injector,
         require_completion=require_completion,
@@ -173,7 +168,6 @@ def compare_runs(
 def check_equivalence_batch(
     design: RefinedDesign,
     input_vectors: Sequence[Optional[Dict[str, object]]],
-    max_steps: Optional[int] = None,
     limits=None,
     require_completion: bool = False,
 ) -> List[EquivalenceReport]:
@@ -192,11 +186,10 @@ def check_equivalence_batch(
 
     vectors = [dict(v or {}) for v in input_vectors]
     original_batch = BatchSimulator(design.original).run_batch(
-        vectors, max_steps=max_steps, limits=limits
+        vectors, limits=limits
     )
     refined_batch = BatchSimulator(design.spec).run_batch(
         vectors,
-        max_steps=max_steps,
         limits=limits,
         require_completion=require_completion,
     )

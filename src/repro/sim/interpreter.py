@@ -52,15 +52,20 @@ The interpreter has two paths over the same IR:
 
 When a ``cost_fn`` or ``probe`` is attached, the generated bodies
 charge time and fire the probe before every statement, and the probe's
-read/write hooks on every variable access, in the walker's order.
+read/write hooks on every variable access, in the walker's order.  On
+both paths an access is reported under the behavior whose activation
+made it — a generated function is passed its activation's behavior, and
+the walker binds an env's hooks to the behavior that entered it — even
+when a ``wait until`` is re-evaluated while another process runs.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.errors import SimulationError
-from repro.sim.codegen import BodyCompiler, Scope
+from repro.sim.codegen import DEFAULT_TIME_UNIT, BodyCompiler, Scope
 from repro.sim.eval import Env, Frame, evaluate, truthy
 from repro.sim.kernel import (
     Join,
@@ -95,11 +100,6 @@ __all__ = [
     "SimulationResult",
     "Simulator",
 ]
-
-#: Seconds represented by one ``wait for 1`` tick — the scale fault
-#: scenarios expressed in protocol ticks must be multiplied by
-#: (:meth:`repro.sim.faults.FaultScenario.scaled`).
-DEFAULT_TIME_UNIT = 1e-9
 
 class Probe:
     """Observer interface for profiling; all callbacks optional."""
@@ -217,6 +217,9 @@ class _RunState:
     They bind this object instead of the simulator, so a simulator is
     not part of a reference cycle through its own generated code, and
     :meth:`Simulator.run` clears the run's references when the run ends.
+    ``probe`` is the walker's probe: :meth:`enter` binds the read/write
+    hooks of each env it makes to the behavior entered (generated code
+    calls the probe itself).
     """
 
     __slots__ = (
@@ -226,14 +229,14 @@ class _RunState:
         "frames",
         "trace",
         "trace_step",
-        "behavior",
+        "probe",
     )
 
-    def __init__(self):
+    def __init__(self, probe: Optional[Probe] = None):
         self.clear()
         self.trace: List[TraceEvent] = []
         self.trace_step = 0
-        self.behavior = ""
+        self.probe = probe
 
     def clear(self) -> None:
         self.kernel: Optional[Kernel] = None
@@ -251,7 +254,15 @@ class _RunState:
             if decl.kind is not StorageClass.SIGNAL:
                 frame.declare(decl)
         self.frames[behavior.name] = frame
-        return env.child(frame)
+        probe = self.probe
+        if probe is None:
+            return env.child(frame)
+        return Env(
+            env.kernel,
+            (frame,) + env.frames,
+            on_read=partial(probe.on_read, behavior.name),
+            on_write=partial(probe.on_write, behavior.name),
+        )
 
     def record(self, name: str, value) -> None:
         """Record the write of ``value`` to output ``name`` in the
@@ -272,9 +283,6 @@ class Simulator:
         statement charges modelled time.
     probe:
         Optional :class:`Probe` receiving profiling callbacks.
-    time_unit:
-        Seconds represented by one ``wait for 1`` delay (refined
-        protocol strobes use small integer delays); default 1e-9.
     compile_cache:
         Use the compiled fast path (each statement body generated once
         as one Python function, every name bound at generation).
@@ -288,17 +296,15 @@ class Simulator:
         spec: Specification,
         cost_fn: Optional[Callable[[str, Stmt], float]] = None,
         probe: Optional[Probe] = None,
-        time_unit: float = DEFAULT_TIME_UNIT,
         compile_cache: bool = True,
     ):
         self.spec = spec
         self.cost_fn = cost_fn
         self.probe = probe
-        self.time_unit = time_unit
         self.compile_cache = compile_cache
         self._kernel: Optional[Kernel] = None
         self._frames: Dict[str, Frame] = {}
-        self._state = _RunState()
+        self._state = _RunState(None if compile_cache else probe)
         self._output_names = {v.name for v in spec.outputs()}
         #: signal name -> dtype, for every global and behavior signal
         self._signal_types: Dict[str, object] = {
@@ -306,14 +312,12 @@ class Simulator:
             for _, decl in spec.all_declared_variables()
             if decl.kind is StorageClass.SIGNAL
         }
-        self._current_behavior = ""
         #: generated functions (see repro.sim.codegen)
         self._bodies = BodyCompiler(
             spec,
             self._state,
             self._signal_types,
             frozenset(self._output_names),
-            time_unit,
             cost_fn=cost_fn,
             probe=probe,
         )
@@ -323,7 +327,6 @@ class Simulator:
     def run(
         self,
         inputs: Optional[Dict[str, object]] = None,
-        max_steps: Optional[int] = None,
         limits: Optional[KernelLimits] = None,
         injector=None,
         require_completion: bool = False,
@@ -336,8 +339,7 @@ class Simulator:
         The run *completes* when the root behavior's process finishes;
         daemon/server processes may remain blocked.
 
-        ``limits`` bounds the run (see :class:`KernelLimits`;
-        ``max_steps`` is a shorthand overriding ``limits.max_steps``);
+        ``limits`` bounds the run (see :class:`KernelLimits`);
         ``injector`` attaches a :class:`repro.sim.faults.FaultInjector`;
         ``metrics`` attaches a :class:`repro.sim.metrics.SimMetrics`
         counter bag to the run's kernel; ``observer`` attaches a
@@ -350,7 +352,6 @@ class Simulator:
         kernel = Kernel(injector=injector, metrics=metrics, observer=observer)
         self._kernel = kernel
         self._frames = {}
-        self._current_behavior = ""
         global_frame = Frame("")
         self._frames[""] = global_frame
         inputs = dict(inputs or {})
@@ -383,18 +384,13 @@ class Simulator:
         state.frames = self._frames
         state.trace = []
         state.trace_step = 0
-        state.behavior = ""
-        on_read = on_write = None
-        if self.probe is not None and not self.compile_cache:
-            on_read, on_write = self._on_env_read, self._on_env_write
-        root_env = Env(kernel, (global_frame,), on_read=on_read, on_write=on_write)
+        root_env = Env(kernel, (global_frame,))
         root = kernel.spawn(
             self.spec.top.name,
             self._run_behavior(self.spec.top, root_env, self._bodies.scope),
         )
         try:
             kernel.run(
-                max_steps=max_steps,
                 limits=limits,
                 required=(root,) if require_completion else (),
             )
@@ -422,14 +418,6 @@ class Simulator:
         return SimulationResult(
             self.spec, kernel, self._frames, state.trace, root.finished
         )
-
-    # -- profiling hooks (the walker's; generated code calls the probe) ----------
-
-    def _on_env_read(self, name: str) -> None:
-        self.probe.on_read(self._current_behavior, name)
-
-    def _on_env_write(self, name: str) -> None:
-        self.probe.on_write(self._current_behavior, name)
 
     # -- behaviors ---------------------------------------------------------------
 
@@ -498,9 +486,10 @@ class Simulator:
             chosen = None
             # condition reads belong to the composite whose sequencer
             # evaluates them (matches the access graph's attribution)
-            self._current_behavior = self._state.behavior = behavior.name
             for arc in arcs:
-                if arc.condition is None or self._holds(arc.condition, env, scope):
+                if arc.condition is None or self._holds(
+                    arc.condition, behavior.name, env, scope
+                ):
                     chosen = arc
                     break
             if chosen is None or chosen.target is None:
@@ -523,11 +512,11 @@ class Simulator:
 
     # -- statements -----------------------------------------------------------------
 
-    def _holds(self, cond: Expr, env: Env, scope: Scope) -> bool:
-        """Whether a transition condition holds: its generated predicate
-        (or the reference walker)."""
+    def _holds(self, cond: Expr, behavior: str, env: Env, scope: Scope) -> bool:
+        """Whether a transition condition of composite ``behavior``
+        holds: its generated predicate (or the reference walker)."""
         if self.compile_cache:
-            return self._bodies.condition(cond, scope)(env.frames)
+            return self._bodies.condition(cond, scope)(behavior, env.frames)
         return truthy(evaluate(cond, env))
 
     def _exec_body(self, stmts: Body, behavior: str, env: Env) -> Iterator:
@@ -544,7 +533,6 @@ class Simulator:
             yield WaitDelay(cost)
 
     def _exec_stmt(self, stmt: Stmt, behavior: str, env: Env) -> Iterator:
-        self._current_behavior = behavior
         yield from self._charge(stmt, behavior)
 
         if isinstance(stmt, Assign):
@@ -607,7 +595,7 @@ class Simulator:
     def _make_wait(self, stmt: Wait, env: Env):
         kernel = self._kernel
         if stmt.delay is not None:
-            return WaitDelay(stmt.delay * self.time_unit)
+            return WaitDelay(stmt.delay * DEFAULT_TIME_UNIT)
         if stmt.until is not None:
             cond = stmt.until
             sensitivity = {

@@ -14,8 +14,9 @@ Scheduling loop:
 2. apply pending signal updates; signals that changed wake the
    processes indexed under them in the *sensitivity index* (a *delta
    cycle* — time does not advance);
-3. when no delta activity remains, advance time to the earliest timed
-   wait;
+3. when no delta activity remains, advance time to the earliest entry
+   of the timed queue — a process's ``wait for`` (or fault stall) wake-up
+   or a fault-delayed signal update — and release every entry due then;
 4. when neither delta nor timed work remains, the simulation is
    *quiescent* and :meth:`Kernel.run` returns.  Refined designs contain
    endless server behaviors (memories, arbiters, bus interfaces), so
@@ -41,14 +42,18 @@ unused):
 * :class:`KernelLimits` — configurable budgets (total activations,
   delta cycles per timestep, wall-clock seconds); a breach raises
   :class:`SimulationLimitExceeded` naming the limit that tripped;
-* a ring buffer of the last scheduler events (``run``/``delta``/
-  ``advance``/``fault``/``kill``), sized by ``trace_depth`` and rendered
+* a ring buffer of the last :data:`DEFAULT_TRACE_DEPTH` scheduler
+  events (``run``/``delta``/``advance``/``fault``/``kill``), rendered
   by :meth:`Kernel.format_trace`; it is the kernel's one scheduler-event
   record, attached to limit and deadlock errors so a wedged protocol
   can be diagnosed post mortem;
 * a narrow fault-injection interface: an *injector* (see
   :mod:`repro.sim.faults`) may intercept every signal write
-  (drop/delay/corrupt) and every process activation (stall/kill).
+  (drop/delay/corrupt) and every process activation (stall/kill).  The
+  scheduler loop is the one place a process is activated: with an
+  injector attached it asks the injector first, handles a kill or a
+  stall in place, and otherwise runs the same activation sequence as a
+  fault-free run.
 """
 
 from __future__ import annotations
@@ -228,11 +233,9 @@ class Kernel:
 
     ``injector`` is an optional fault injector implementing the narrow
     interface of :class:`repro.sim.faults.FaultInjector`
-    (``on_signal_write`` / ``on_activation``); ``trace_depth`` sizes the
-    ring buffer of recent scheduler events (see :meth:`format_trace`);
-    ``metrics`` attaches a :class:`repro.sim.metrics.SimMetrics`
-    counter bag, which costs one ``is not None`` check per scheduler
-    event when absent.
+    (``on_signal_write`` / ``on_activation``); ``metrics`` attaches a
+    :class:`repro.sim.metrics.SimMetrics` counter bag, which costs one
+    ``is not None`` check per scheduler event when absent.
 
     ``observer`` taps the signal-change stream: it must provide
     ``on_register(name, initial)`` (called as signals are declared) and
@@ -245,7 +248,6 @@ class Kernel:
     def __init__(
         self,
         injector=None,
-        trace_depth: int = DEFAULT_TRACE_DEPTH,
         metrics=None,
         observer=None,
     ):
@@ -261,17 +263,16 @@ class Kernel:
         self._sensitivity: Dict[str, Set[Process]] = {}
         #: processes blocked on a Join
         self._join_waiters: Dict[Process, Join] = {}
-        #: timed queue of (wake_time, seq, process)
-        self._timed: List[Tuple[float, int, Process]] = []
-        #: fault-delayed signal updates: (apply_time, seq, name, value)
-        self._delayed_writes: List[Tuple[float, int, str, object]] = []
+        #: timed queue of (time, seq, entry): an entry is a process to
+        #: wake or a fault-delayed signal update ``(name, value)``
+        self._timed: List[Tuple[float, int, object]] = []
         self._seq = itertools.count()
         self.steps: int = 0
         self.injector = injector
         self.metrics = metrics
         self.observer = observer
         #: ring buffer of (kind, detail, time) scheduler events
-        self._trace: deque = deque(maxlen=max(1, trace_depth))
+        self._trace: deque = deque(maxlen=DEFAULT_TRACE_DEPTH)
         #: delta cycles since time last advanced (storm detection)
         self._delta_streak: int = 0
 
@@ -302,30 +303,22 @@ class Kernel:
         value, or defer it by some simulated time."""
         if name not in self._signals:
             raise SimulationError(f"unknown signal {name!r}")
-        metrics = self.metrics
         if self.injector is not None:
             action, value = self.injector.on_signal_write(self.now, name, value)
             if action == "drop":
-                self._record("fault", f"dropped write {name}")
-                if metrics is not None:
-                    metrics.faults += 1
+                self._fault(f"dropped write {name}")
                 return
             if action == "delay":
                 value, delay = value
-                self._record("fault", f"delayed write {name} by {delay}")
-                if metrics is not None:
-                    metrics.faults += 1
+                self._fault(f"delayed write {name} by {delay}")
                 heapq.heappush(
-                    self._delayed_writes,
-                    (self.now + delay, next(self._seq), name, value),
+                    self._timed, (self.now + delay, next(self._seq), (name, value))
                 )
                 return
             if action == "corrupt":
-                self._record("fault", f"corrupted write {name} -> {value!r}")
-                if metrics is not None:
-                    metrics.faults += 1
-        if metrics is not None:
-            metrics.signal_writes += 1
+                self._fault(f"corrupted write {name} -> {value!r}")
+        if self.metrics is not None:
+            self.metrics.signal_writes += 1
         self._pending[name] = value
 
     def signal_names(self) -> Set[str]:
@@ -419,6 +412,12 @@ class Kernel:
     def _record(self, kind: str, detail) -> None:
         self._trace.append((kind, detail, self.now))
 
+    def _fault(self, detail: str) -> None:
+        """Tally one injected fault: a ring event and ``metrics.faults``."""
+        self._record("fault", detail)
+        if self.metrics is not None:
+            self.metrics.faults += 1
+
     def format_trace(self) -> List[str]:
         """The ring buffer rendered as short human-readable lines."""
         return [
@@ -430,16 +429,14 @@ class Kernel:
 
     def run(
         self,
-        max_steps: Optional[int] = None,
         limits: Optional[KernelLimits] = None,
         required: Iterable[Process] = (),
     ) -> None:
         """Run to quiescence.
 
-        ``limits`` bounds the run (see :class:`KernelLimits`);
-        ``max_steps`` is a shorthand overriding ``limits.max_steps``.
-        Breaching a budget raises :class:`SimulationLimitExceeded`
-        naming the limit that tripped.
+        ``limits`` bounds the run (see :class:`KernelLimits`; ``None``
+        means the default budgets).  Breaching a budget raises
+        :class:`SimulationLimitExceeded` naming the limit that tripped.
 
         ``required`` lists processes that must have finished by
         quiescence; when any is still blocked, the kernel raises a
@@ -449,12 +446,6 @@ class Kernel:
         """
         if limits is None:
             limits = KernelLimits()
-        if max_steps is not None:
-            limits = KernelLimits(
-                max_steps=max_steps,
-                max_delta=limits.max_delta,
-                wall_clock=limits.wall_clock,
-            )
         required = tuple(required)
         metrics = self.metrics
         wall_started = _time.perf_counter() if metrics is not None else 0.0
@@ -483,10 +474,11 @@ class Kernel:
             )
 
     def _run_loop(self, limits: KernelLimits) -> None:
-        # The scheduler's innermost loop.  Limits, collaborators and the
-        # fault-free activation sequence are all hoisted into locals:
-        # with no injector attached, a process resume costs one trace
-        # append and one generator ``send`` — no method dispatch.
+        # The scheduler's innermost loop, and the one place a process is
+        # activated.  Limits, collaborators and the activation sequence
+        # are all hoisted into locals: with no injector attached, a
+        # process resume costs one trace append and one generator
+        # ``send`` — no method dispatch.
         max_steps = limits.max_steps
         wall_clock = limits.wall_clock
         max_delta = limits.max_delta
@@ -546,9 +538,21 @@ class Kernel:
                             trace=self.format_trace(),
                         )
                     if injector is not None:
-                        self._activate(process)
-                        continue
-                    # inlined fault-free _activate
+                        action, arg = injector.on_activation(
+                            self.now, process.name
+                        )
+                        if action == "kill":
+                            self._fault(f"killed process {process.name}")
+                            self.kill(process, reason="fault injection")
+                            continue
+                        if action == "stall":
+                            self._fault(
+                                f"stalled process {process.name} for {arg}"
+                            )
+                            heapq.heappush(
+                                self._timed, (self.now + arg, next(seq), process)
+                            )
+                            continue
                     m_activations += 1
                     trace_append(("run", process.name, self.now))
                     try:
@@ -566,8 +570,7 @@ class Kernel:
                             f"at t={self.now}: {exc}"
                         ) from exc
                     if type(request) is WaitCondition:
-                        # inlined _suspend for the dominant request kind;
-                        # level-sensitive, so continue if already true
+                        # level-sensitive: continue if already true
                         if request.predicate():
                             ready.append(process)
                             continue
@@ -697,66 +700,10 @@ class Kernel:
                 metrics.wakeups += m_wakeups
                 metrics.bus_transactions += m_bus
 
-    def _activate(self, process: Process) -> None:
-        if self.injector is not None:
-            action, arg = self.injector.on_activation(self.now, process.name)
-            if action == "kill":
-                self._record("fault", f"killed process {process.name}")
-                if self.metrics is not None:
-                    self.metrics.faults += 1
-                self.kill(process, reason="fault injection")
-                return
-            if action == "stall":
-                self._record(
-                    "fault", f"stalled process {process.name} for {arg}"
-                )
-                if self.metrics is not None:
-                    self.metrics.faults += 1
-                heapq.heappush(
-                    self._timed, (self.now + arg, next(self._seq), process)
-                )
-                return
-        if self.metrics is not None:
-            self.metrics.activations += 1
-        self._record("run", process.name)
-        try:
-            request = process._step()
-        except StopIteration:
-            process.finished = True
-            self._notify_joiners(process)
-            return
-        except SimulationError:
-            raise
-        except Exception as exc:  # surface interpreter bugs with context
-            process.failed = exc
-            raise SimulationError(
-                f"process {process.name!r} failed at t={self.now}: {exc}"
-            ) from exc
-        self._suspend(process, request)
-
     def _suspend(self, process: Process, request) -> None:
-        if isinstance(request, WaitCondition):
-            # level-sensitive: continue immediately if already true
-            if request.predicate():
-                self._ready.append(process)
-                return
-            process._waiting_on = request
-            process._wait_seq = next(self._seq)
-            self._cond_waiters[process] = request
-            buckets = request._index_sets
-            if buckets is None or request._index_kernel is not self:
-                index = self._sensitivity
-                resolved = []
-                for name in request.sensitivity:
-                    waiters = index.get(name)
-                    if waiters is None:
-                        waiters = index[name] = set()
-                    resolved.append(waiters)
-                buckets = request._index_sets = tuple(resolved)
-                request._index_kernel = self
-            for waiters in buckets:
-                waiters.add(process)
-        elif isinstance(request, WaitDelay):
+        """Park ``process`` on a request other than a
+        :class:`WaitCondition` (the loop parks those itself)."""
+        if isinstance(request, WaitDelay):
             process._waiting_on = request
             heapq.heappush(
                 self._timed, (self.now + request.delay, next(self._seq), process)
@@ -804,25 +751,23 @@ class Kernel:
                 waiters.discard(process)
 
     def _advance_time(self) -> bool:
-        """Jump to the earliest timed wake-up or fault-delayed signal
-        update.  Returns True when anything became runnable/pending."""
-        next_proc = self._timed[0][0] if self._timed else None
-        next_write = self._delayed_writes[0][0] if self._delayed_writes else None
-        if next_proc is None and next_write is None:
+        """Jump to the earliest entry of the timed queue and release
+        every entry due then, in ``(time, seq)`` order: a delayed signal
+        update becomes pending, a process not killed meanwhile becomes
+        ready.  Returns False when the queue is empty."""
+        timed = self._timed
+        if not timed:
             return False
-        candidates = [t for t in (next_proc, next_write) if t is not None]
-        self.now = max(self.now, min(candidates))
+        self.now = max(self.now, timed[0][0])
         self._record("advance", self.now)
         if self.metrics is not None:
             self.metrics.timesteps += 1
-        while self._delayed_writes and self._delayed_writes[0][0] <= self.now:
-            _, _, name, value = heapq.heappop(self._delayed_writes)
-            self._pending[name] = value
-        # release everything scheduled for this instant
-        while self._timed and self._timed[0][0] <= self.now:
-            _, _, process = heapq.heappop(self._timed)
-            if process.finished:
-                continue  # killed while in the timed heap
-            process._waiting_on = None
-            self._ready.append(process)
+        while timed and timed[0][0] <= self.now:
+            _, _, entry = heapq.heappop(timed)
+            if type(entry) is tuple:
+                name, value = entry
+                self._pending[name] = value
+            elif not entry.finished:
+                entry._waiting_on = None
+                self._ready.append(entry)
         return True

@@ -163,9 +163,10 @@ class TestLaneParity:
 class TestSimulatorReuse:
     def test_run_b_after_a_matches_fresh_simulator(self):
         # signals + waits: every suspension goes through the kernel's
-        # sensitivity index, whose buckets each WaitCondition caches for
-        # one kernel (WaitCondition._index_kernel); run B gets a new
-        # kernel and must not see anything run A left behind
+        # sensitivity index.  The wait reads a variable, so each
+        # execution builds its own request and resolves its buckets in
+        # that run's kernel; run B gets a new kernel and must not see
+        # anything run A left behind
         design = _loop_spec()
         design.validate()
         reused = Simulator(design)

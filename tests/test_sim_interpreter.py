@@ -482,6 +482,53 @@ class TestProbe:
         # Main's sequencer after A completes
         assert probe.reads.get(("Main", "x"), 0) >= 1
 
+    @pytest.mark.parametrize("compile_cache", [True, False])
+    def test_concurrent_accesses_attributed_to_their_behavior(self, compile_cache):
+        # A and B charge 1 ns per statement, so each resumes after the
+        # other has charged; A's wait reads a variable and is
+        # re-evaluated by the delta cycle B's signal write triggers
+        deep = var("b_only")
+        for _ in range(20):  # past the inlining depth: its own function
+            deep = deep + 1
+        design = spec(
+            "Attr",
+            conc(
+                "Top",
+                [
+                    leaf(
+                        "A",
+                        assign("p", var("a_only") + 1),
+                        wait_until(var("a_gate").eq(0).and_(var("flag").eq(1))),
+                        assign("p", var("p") + 1),
+                    ),
+                    leaf(
+                        "B",
+                        assign("q", var("b_only") + 1),
+                        assign("q", deep),
+                        sassign("flag", 1),
+                    ),
+                ],
+            ),
+            variables=[
+                variable(name, int_type(), init=0)
+                for name in ("p", "q", "a_only", "b_only", "a_gate")
+            ]
+            + [signal("flag", int_type(), init=0)],
+        )
+        design.validate()
+        probe = CountingProbe()
+        result = Simulator(
+            design, cost_fn=lambda b, s: 1e-9, probe=probe, compile_cache=compile_cache
+        ).run()
+        assert result.completed
+        assert probe.reads == {
+            ("A", "a_only"): 1,
+            ("A", "a_gate"): 2,
+            ("A", "p"): 1,
+            ("B", "b_only"): 2,
+        }
+        assert probe.writes == {("A", "p"): 2, ("B", "q"): 2}
+
 
 class TestCostFunction:
     def test_cost_fn_advances_time(self):

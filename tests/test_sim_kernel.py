@@ -3,7 +3,16 @@
 import pytest
 
 from repro.errors import SimulationError, SimulationLimitExceeded
-from repro.sim.kernel import Join, Kernel, WaitCondition, WaitDelay
+from repro.sim.faults import FaultInjector, FaultScenario
+from repro.sim.kernel import (
+    DEFAULT_TRACE_DEPTH,
+    Join,
+    Kernel,
+    KernelLimits,
+    WaitCondition,
+    WaitDelay,
+)
+from repro.sim.metrics import SimMetrics
 
 
 class TestSignals:
@@ -163,7 +172,7 @@ class TestScheduling:
 
         k.spawn("spin", spinner())
         with pytest.raises(SimulationLimitExceeded):
-            k.run(max_steps=100)
+            k.run(limits=KernelLimits(max_steps=100))
 
     def test_failed_process_raises_simulation_error(self):
         k = Kernel()
@@ -291,8 +300,6 @@ class TestWatchdog:
         assert log == [0.0]
 
     def test_delta_cycle_storm_trips_max_delta(self):
-        from repro.sim.kernel import KernelLimits
-
         k = Kernel()
         k.register_signal("a", 0)
         k.register_signal("b", 0)
@@ -331,13 +338,13 @@ class TestWatchdog:
 
         k.spawn("spin", spinner())
         with pytest.raises(SimulationLimitExceeded) as excinfo:
-            k.run(max_steps=10)
+            k.run(limits=KernelLimits(max_steps=10))
         assert excinfo.value.limit == "max_steps"
         assert "max_steps=10" in str(excinfo.value)
         assert excinfo.value.trace  # ring buffer contents attached
 
     def test_trace_ring_buffer_is_bounded(self):
-        k = Kernel(trace_depth=4)
+        k = Kernel()
 
         def proc():
             for _ in range(20):
@@ -345,4 +352,127 @@ class TestWatchdog:
 
         k.spawn("p", proc())
         k.run()
-        assert len(k.format_trace()) <= 4
+        assert len(k.format_trace()) == DEFAULT_TRACE_DEPTH
+
+
+class TestFaultPaths:
+    """An attached injector goes through the scheduler loop's own
+    activation sequence and the one timed queue."""
+
+    def test_delayed_write_and_timed_wake_at_same_instant(self):
+        inj = FaultInjector(
+            [FaultScenario(name="d", kind="delay", target="s", delay=5.0)]
+        )
+        k = Kernel(injector=inj)
+        k.register_signal("s", 0)
+        seen = []
+
+        def writer():
+            k.write_signal("s", 1)  # deferred to t=5
+            yield WaitDelay(0)
+
+        def sleeper():
+            yield WaitDelay(5)
+            # released at t=5 together with the delayed update, which
+            # is pending until the next delta cycle
+            seen.append((k.now, k.read_signal("s")))
+            yield WaitDelay(0)
+            seen.append((k.now, k.read_signal("s")))
+
+        def watcher():
+            yield WaitCondition(lambda: k.read_signal("s") == 1, {"s"})
+            seen.append(("watcher", k.now))
+
+        k.spawn("watcher", watcher())
+        k.spawn("writer", writer())
+        k.spawn("sleeper", sleeper())
+        k.run()
+        assert seen == [(5.0, 0), ("watcher", 5.0), (5.0, 1)]
+        assert k.now == 5.0
+        assert not k._timed and not k._pending
+
+    def test_kill_on_first_activation_notifies_joiners(self):
+        inj = FaultInjector(
+            [FaultScenario(name="k", kind="kill", target="victim")]
+        )
+        k = Kernel(injector=inj)
+        k.register_signal("go", 0)
+        log = []
+
+        def victim():
+            log.append("victim ran")
+            yield WaitCondition(lambda: k.read_signal("go") == 2, {"go"})
+
+        def parent():
+            child = k.spawn("victim", victim())
+            yield Join([child])
+            log.append("joined")
+            k.write_signal("go", 1)
+
+        def waiter():
+            yield WaitCondition(lambda: k.read_signal("go") == 1, {"go"})
+            log.append("woken")
+
+        k.spawn("waiter", waiter())
+        k.spawn("parent", parent())
+        k.run()
+        assert log == ["joined", "woken"]
+        victim = next(p for p in k.processes if p.name == "victim")
+        assert victim.killed and victim.finished
+        assert k.blocked_processes() == []
+        assert not k._cond_waiters
+        assert all(not waiters for waiters in k._sensitivity.values())
+        assert any("fault: killed process victim" in line for line in k.format_trace())
+
+    def test_stall_then_resume(self):
+        inj = FaultInjector(
+            [FaultScenario(name="s", kind="stall", target="p", delay=9.0)]
+        )
+        metrics = SimMetrics()
+        k = Kernel(injector=inj, metrics=metrics)
+        log = []
+
+        def proc():
+            log.append(k.now)
+            yield WaitDelay(1)
+            log.append(k.now)
+
+        p = k.spawn("p", proc())
+        k.run()
+        assert log == [9.0, 10.0] and p.finished
+        assert metrics.activations == 2  # the stall is not an activation
+        assert metrics.timesteps == 2
+
+    def test_fault_tally_matches_injector_events(self):
+        inj = FaultInjector(
+            [
+                FaultScenario(name="drop", kind="drop", target="a"),
+                FaultScenario(name="delay", kind="delay", target="b", delay=2.0),
+                FaultScenario(name="corrupt", kind="corrupt", target="c", value=7),
+                FaultScenario(name="kill", kind="kill", target="doomed"),
+                FaultScenario(name="stall", kind="stall", target="slow", delay=3.0),
+            ]
+        )
+        metrics = SimMetrics()
+        k = Kernel(injector=inj, metrics=metrics)
+        for name in "abc":
+            k.register_signal(name, 0)
+
+        def writer():
+            for name in "abc":
+                k.write_signal(name, 1)
+            yield WaitDelay(1)
+
+        def idle():
+            yield WaitDelay(1)
+
+        k.spawn("writer", writer())
+        k.spawn("doomed", idle())
+        k.spawn("slow", idle())
+        k.run()
+        assert sorted(e.kind for e in inj.events) == [
+            "corrupt", "delay", "drop", "kill", "stall",
+        ]
+        assert metrics.faults == len(inj.events) == 5
+        assert sum(" fault: " in line for line in k.format_trace()) == 5
+        assert [k.read_signal(name) for name in "abc"] == [0, 1, 7]

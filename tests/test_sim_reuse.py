@@ -24,6 +24,7 @@ from repro.fuzz.oracle import check_reuse_parity, run_all_oracles
 from repro.models import MODEL1, MODEL4
 from repro.refine.refiner import Refiner
 from repro.sim.interpreter import Simulator
+from repro.sim.kernel import KernelLimits
 
 
 def _observed(result):
@@ -80,7 +81,9 @@ class TestSimulatorReuse:
         spec, stimuli = medical_model4
         reused = Simulator(spec)
         with pytest.raises(SimulationLimitExceeded, match="max_steps=200"):
-            reused.run(inputs=dict(stimuli[0]), max_steps=200)
+            reused.run(
+                inputs=dict(stimuli[0]), limits=KernelLimits(max_steps=200)
+            )
         _assert_fresh(reused, spec, stimuli[1])
 
     def test_run_after_unknown_input_error(self, medical_model4):
