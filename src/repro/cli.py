@@ -269,6 +269,47 @@ def _campaign_guard(engine, command: str):
             signal.signal(signal.SIGTERM, previous)
 
 
+def _run_campaign(args, command: str, run, render=None):
+    """What every campaign command does around its ``run_*`` call.
+
+    ``run(engine)`` runs the campaign on the engine the shared flags
+    build (under a ``command`` root span when ``--trace`` is given).
+    The report — ``render(result)``, else ``as_json()`` with
+    ``--json``, else ``render()`` — goes to stdout and, with
+    ``-o PATH``, to that file; the trace goes to its ``--trace`` file
+    and the engine statistics to stderr.  Returns the result; the
+    caller derives its exit code from it.
+    """
+    tracer = None
+    if getattr(args, "trace", None):
+        from repro.obs.trace import SpanTracer
+
+        tracer = SpanTracer()
+    engine = _build_engine(args, tracer=tracer)
+    with _campaign_guard(engine, command):
+        if tracer is None:
+            result = run(engine)
+        else:
+            with tracer.span(command):
+                result = run(engine)
+        if render is not None:
+            rendered = render(result)
+        elif getattr(args, "json", False):
+            rendered = result.as_json()
+        else:
+            rendered = result.render()
+        print(rendered)
+        output = getattr(args, "output", None)
+        if output:
+            _write_output(output, rendered + "\n")
+            print(f"\n{command} report written to {output}")
+        if tracer is not None:
+            _write_trace(tracer, args.trace)
+            print(f"Chrome trace written to {args.trace}")
+        _print_exec_stats(engine)
+    return result
+
+
 # -- subcommand handlers -------------------------------------------------------
 
 
@@ -420,16 +461,25 @@ def _cmd_partition(args) -> int:
     return 0
 
 
-def _cmd_refine(args) -> int:
-    from repro.lang.printer import print_specification
+def _refine(args):
+    """The ``--design`` of the loaded spec refined into ``--model``
+    (under ``--protocol`` when the command has one)."""
     from repro.models import resolve_model
     from repro.refine import Refiner
 
     spec = _load_spec(args.file)
-    partition = _resolve_partition(spec, args)
-    design = Refiner(
-        spec, partition, resolve_model(args.model), protocol=args.protocol
+    return Refiner(
+        spec,
+        _resolve_partition(spec, args),
+        resolve_model(args.model),
+        protocol=getattr(args, "protocol", "handshake"),
     ).run()
+
+
+def _cmd_refine(args) -> int:
+    from repro.lang.printer import print_specification
+
+    design = _refine(args)
     print(design.describe())
     if args.output:
         _write_output(args.output, print_specification(design.spec))
@@ -438,17 +488,12 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from repro.models import resolve_model
-    from repro.refine import Refiner
     from repro.sim.equivalence import check_equivalence
 
-    spec = _load_spec(args.file)
-    partition = _resolve_partition(spec, args)
-    design = Refiner(
-        spec, partition, resolve_model(args.model), protocol=args.protocol
-    ).run()
     report = check_equivalence(
-        design, inputs=_parse_inputs(args.input), limits=_parse_limits(args)
+        _refine(args),
+        inputs=_parse_inputs(args.input),
+        limits=_parse_limits(args),
     )
     print(report.describe())
     return 0 if report.equivalent else 1
@@ -470,15 +515,7 @@ def _cmd_export_c(args) -> int:
 def _cmd_export_vhdl(args) -> int:
     from repro.export import export_vhdl
 
-    spec = _load_spec(args.file)
-    top = None
-    if getattr(args, "design", None):
-        from repro.models import resolve_model
-        from repro.refine import Refiner
-
-        partition = _resolve_partition(spec, args)
-        design = Refiner(spec, partition, resolve_model(args.model)).run()
-        spec = design.spec
+    spec = _refine(args).spec if args.design else _load_spec(args.file)
     source = export_vhdl(spec, entity_name=args.entity)
     if args.output:
         _write_output(args.output, source)
@@ -491,49 +528,47 @@ def _cmd_export_vhdl(args) -> int:
 def _cmd_figure9(args) -> int:
     from repro.experiments import run_figure9
 
-    engine = _build_engine(args)
-    with _campaign_guard(engine, "figure9"):
-        result = run_figure9(engine=engine, workload=args.workload)
-        print(result.render(include_paper=not args.no_paper))
-        _print_exec_stats(engine)
+    _run_campaign(
+        args, "figure9",
+        lambda engine: run_figure9(engine=engine, workload=args.workload),
+        render=lambda result: result.render(include_paper=not args.no_paper),
+    )
     return 0
 
 
 def _cmd_figure10(args) -> int:
     from repro.experiments import run_figure10
 
-    engine = _build_engine(args)
-    with _campaign_guard(engine, "figure10"):
-        result = run_figure10(
-            check_equivalence=args.check, engine=engine, workload=args.workload
-        )
-        print(result.render(include_paper=not args.no_paper))
+    def render(result) -> str:
+        table = result.render(include_paper=not args.no_paper)
         if args.breakdown:
-            print()
-            print(result.render_breakdown())
-        _print_exec_stats(engine)
+            table += "\n\n" + result.render_breakdown()
+        return table
+
+    _run_campaign(
+        args, "figure10",
+        lambda engine: run_figure10(
+            check_equivalence=args.check, engine=engine, workload=args.workload
+        ),
+        render=render,
+    )
     return 0
 
 
 def _cmd_robustness(args) -> int:
     from repro.experiments.robustness import run_robustness
 
-    engine = _build_engine(args)
-    with _campaign_guard(engine, "robustness"):
-        result = run_robustness(
+    result = _run_campaign(
+        args, "robustness",
+        lambda engine: run_robustness(
             seed=args.seed,
             protocol=args.protocol,
             designs=args.design or None,
             models=args.model or None,
             engine=engine,
             workload=args.workload,
-        )
-        rendered = result.render()
-        print(rendered)
-        if args.output:
-            _write_output(args.output, rendered + "\n")
-            print(f"\ncampaign table written to {args.output}")
-        _print_exec_stats(engine)
+        ),
+    )
     return 1 if result.unexpected() else 0
 
 
@@ -648,51 +683,27 @@ def _cmd_trace(args) -> int:
 def _cmd_fuzz(args) -> int:
     from repro.experiments.fuzzing import run_fuzz
 
-    tracer = None
-    if args.trace:
-        from repro.obs.trace import SpanTracer
-
-        tracer = SpanTracer()
-    corpus = args.corpus if args.corpus else None
-    engine = _build_engine(args, tracer=tracer)
-    with _campaign_guard(engine, "fuzz"):
-        kwargs = dict(
+    report = _run_campaign(
+        args, "fuzz",
+        lambda engine: run_fuzz(
             seed=args.seed,
             count=args.count,
             models=args.model or None,
             budget=args.budget,
             vectors=args.vectors,
-            corpus=corpus,
+            corpus=args.corpus or None,
             engine=engine,
-        )
-        if tracer is not None:
-            with tracer.span("fuzz", seed=args.seed, count=args.count):
-                report = run_fuzz(**kwargs)
-        else:
-            report = run_fuzz(**kwargs)
-        rendered = report.as_json() if args.json else report.render()
-        print(rendered)
-        if args.output:
-            _write_output(args.output, rendered + "\n")
-            print(f"\ncampaign report written to {args.output}")
-        if tracer is not None:
-            _write_trace(tracer, args.trace)
-            print(f"Chrome trace written to {args.trace}")
-        _print_exec_stats(engine)
+        ),
+    )
     return 0 if report.ok else 1
 
 
 def _cmd_sweep(args) -> int:
     from repro.experiments.sweep import run_sweep
 
-    tracer = None
-    if args.trace:
-        from repro.obs.trace import SpanTracer
-
-        tracer = SpanTracer()
-    engine = _build_engine(args, tracer=tracer)
-    with _campaign_guard(engine, "sweep"):
-        result = run_sweep(
+    result = _run_campaign(
+        args, "sweep",
+        lambda engine: run_sweep(
             spec=_load_spec(args.file) if args.file else None,
             workload=args.workload,
             designs=args.design or None,
@@ -703,59 +714,36 @@ def _cmd_sweep(args) -> int:
             limits=_parse_limits(args),
             engine=engine,
             batch=args.batch,
-        )
-        rendered = result.as_json() if args.json else result.render()
-        print(rendered)
-        if args.output:
-            _write_output(args.output, rendered + "\n")
-            print(f"\nsweep table written to {args.output}")
-        if tracer is not None:
-            _write_trace(tracer, args.trace)
-            print(f"Chrome trace written to {args.trace}")
-        _print_exec_stats(engine)
+        ),
+    )
     return 0 if result.ok else 1
 
 
 def _cmd_explore(args) -> int:
     from repro.experiments.explore import run_explore
 
-    tracer = None
-    if args.trace:
-        from repro.obs.trace import SpanTracer
-
-        tracer = SpanTracer()
-    engine = _build_engine(args, tracer=tracer)
-    with _campaign_guard(engine, "explore"):
-        result = run_explore(
+    seeds = {}
+    if args.anneal_seed:
+        seeds["anneal_seeds"] = tuple(int(s) for s in args.anneal_seed)
+    if args.reanneal_seed:
+        seeds["reanneal_seeds"] = tuple(int(s) for s in args.reanneal_seed)
+    _run_campaign(
+        args, "explore",
+        lambda engine: run_explore(
             spec=_load_spec(args.file) if args.file else None,
             workload=args.workload,
             allocations=args.allocation or None,
             models=args.model or None,
             protocols=args.protocol or None,
             inputs=_parse_inputs(args.input) or None,
-            **(
-                {"anneal_seeds": tuple(int(s) for s in args.anneal_seed)}
-                if args.anneal_seed else {}
-            ),
-            **(
-                {"reanneal_seeds": tuple(int(s) for s in args.reanneal_seed)}
-                if args.reanneal_seed else {}
-            ),
             top_k=args.top_k,
             frontier_seed_cap=args.frontier_seeds,
             max_cells=args.max_cells,
             limits=_parse_limits(args),
             engine=engine,
-        )
-        rendered = result.as_json() if args.json else result.render()
-        print(rendered)
-        if args.output:
-            _write_output(args.output, rendered + "\n")
-            print(f"\nexplore report written to {args.output}")
-        if tracer is not None:
-            _write_trace(tracer, args.trace)
-            print(f"Chrome trace written to {args.trace}")
-        _print_exec_stats(engine)
+            **seeds,
+        ),
+    )
     return 0
 
 
@@ -924,16 +912,11 @@ def _cmd_validate_hdl(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    from repro.models import resolve_model
     from repro.obs.explain import SpecExplainer
     from repro.obs.provenance import provenance_report
-    from repro.refine import Refiner
 
-    spec = _load_spec(args.file)
-    partition = _resolve_partition(spec, args)
-    design = Refiner(
-        spec, partition, resolve_model(args.model), protocol=args.protocol
-    ).run()
+    design = _refine(args)
+    spec = design.original
     explainer = SpecExplainer(design.spec, spec)
 
     if args.check:
@@ -1105,9 +1088,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict to a design (repeatable; default all)")
     p.add_argument("--model", action="append",
                    help="restrict to a model (repeatable; default all)")
-    p.add_argument("-o", "--output",
-                   default="benchmarks/output/robustness_campaign.txt",
-                   help="write the campaign table here ('' to skip)")
+    p.add_argument("-o", "--output", default="",
+                   help="also write the campaign table here "
+                        "(default: print only)")
     _add_workload_option(p)
     _add_exec_options(p)
     p.set_defaults(handler=_cmd_robustness)
@@ -1172,9 +1155,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="regression corpus to replay first ('' to skip)")
     p.add_argument("--json", action="store_true",
                    help="print the report as JSON instead of a table")
-    p.add_argument("-o", "--output",
-                   default="benchmarks/output/fuzz_campaign.txt",
-                   help="write the report here ('' to skip)")
+    p.add_argument("-o", "--output", default="",
+                   help="also write the report here "
+                        "(default: print only)")
     p.add_argument("--trace", metavar="PATH",
                    help="also run under a span tracer and write Chrome "
                         "trace-event JSON here")
@@ -1206,9 +1189,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="print a JSON report (cells + kernel-variant "
                         "counts) instead of the table")
-    p.add_argument("-o", "--output",
-                   default="benchmarks/output/sweep_campaign.txt",
-                   help="write the sweep table here ('' to skip)")
+    p.add_argument("-o", "--output", default="",
+                   help="also write the sweep table here "
+                        "(default: print only)")
     p.add_argument("--trace", metavar="PATH",
                    help="run under a span tracer and write Chrome "
                         "trace-event JSON here")
@@ -1251,9 +1234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="print the JSON report (frontier + every evaluated "
                         "point + stop reason) instead of the table")
-    p.add_argument("-o", "--output",
-                   default="benchmarks/output/explore_frontier.txt",
-                   help="write the frontier report here ('' to skip)")
+    p.add_argument("-o", "--output", default="",
+                   help="also write the frontier report here "
+                        "(default: print only)")
     p.add_argument("--trace", metavar="PATH",
                    help="run under a span tracer and write Chrome "
                         "trace-event JSON here")

@@ -9,7 +9,7 @@ specifications travel as canonical printed text, partitions as plain
 ``object -> component`` mappings, allocations and kernel limits as the
 small helper encodings below.
 
-The four paper/campaign drivers (:mod:`repro.experiments`) build grids
+The six paper/campaign drivers (:mod:`repro.experiments`) build grids
 over these tasks:
 
 =================  ==========================================================
@@ -41,8 +41,8 @@ task               one job computes
 =================  ==========================================================
 
 Payloads that carry simulation results also carry a ``kernel`` tag
-naming the variant that produced them (``walker`` / ``compiled`` /
-``batched``), so cached results from different kernels stay auditable.
+naming the variant that produced them (``compiled`` or ``batched``),
+so cached results from different kernels stay auditable.
 """
 
 from __future__ import annotations
@@ -242,6 +242,29 @@ def scenario_from_params(data: Dict[str, object]):
     return FaultScenario(**data)
 
 
+def _refined(params: Dict[str, object]):
+    """The prologue of every cell task: parse the spec, rebuild the
+    partition, refine it into ``params["model"]``.  ``allocation`` and
+    ``protocol`` reach the :class:`repro.refine.refiner.Refiner` only
+    when the params carry them; a missing key means the refiner's own
+    default.  The task reads ``spec`` and ``partition`` back from the
+    :class:`repro.refine.refiner.RefinedDesign` (``.original``,
+    ``.partition``)."""
+    from repro.models import resolve_model
+    from repro.refine.refiner import Refiner
+
+    spec = _spec_from_params(params)
+    options = {}
+    if "allocation" in params:
+        options["allocation"] = allocation_from_params(params["allocation"])
+    if "protocol" in params:
+        options["protocol"] = params["protocol"]
+    return Refiner(
+        spec, _partition_for(spec, params), resolve_model(params["model"]),
+        **options,
+    ).run()
+
+
 # -- figure 9 ----------------------------------------------------------------
 
 
@@ -249,15 +272,10 @@ def scenario_from_params(data: Dict[str, object]):
 def figure9_cell(params: Dict[str, object]) -> Dict[str, object]:
     """Refine one (design, model) and execute it with kernel counters
     attached — the measured half of a Figure 9 cell."""
-    from repro.models import resolve_model
-    from repro.refine.refiner import Refiner
     from repro.sim.interpreter import Simulator
     from repro.sim.metrics import SimMetrics
 
-    spec = _spec_from_params(params)
-    partition = _partition_for(spec, params)
-    model = resolve_model(params["model"])
-    refined = Refiner(spec, partition, model).run()
+    refined = _refined(params)
     metrics = SimMetrics()
     Simulator(refined.spec).run(
         inputs=dict(params["inputs"]), metrics=metrics
@@ -272,14 +290,7 @@ def figure9_cell(params: Dict[str, object]) -> Dict[str, object]:
 def figure10_cell(params: Dict[str, object]) -> Dict[str, object]:
     """Refine one (design, model); measure size, per-procedure CPU time
     and (optionally) functional equivalence."""
-    from repro.models import resolve_model
-    from repro.refine.refiner import Refiner
-
-    spec = _spec_from_params(params)
-    partition = _partition_for(spec, params)
-    allocation = allocation_from_params(params.get("allocation"))
-    model = resolve_model(params["model"])
-    refined = Refiner(spec, partition, model, allocation=allocation).run()
+    refined = _refined(params)
     refined_lines = refined.spec.line_count()
     equivalent: Optional[bool] = None
     if params.get("check_equivalence"):
@@ -304,20 +315,9 @@ def robustness_cell(params: Dict[str, object]) -> Dict[str, object]:
     """Refine one (design, model) under the campaign protocol and
     classify every fault scenario against it."""
     from repro.experiments.robustness import _classify
-    from repro.models import resolve_model
-    from repro.refine.refiner import Refiner
 
-    spec = _spec_from_params(params)
-    partition = _partition_for(spec, params)
-    allocation = allocation_from_params(params.get("allocation"))
+    refined = _refined(params)
     limits = limits_from_params(params.get("limits"))
-    refined = Refiner(
-        spec,
-        partition,
-        resolve_model(params["model"]),
-        allocation=allocation,
-        protocol=params["protocol"],
-    ).run()
     cells = []
     for data in params["scenarios"]:
         scenario = scenario_from_params(data)
@@ -454,19 +454,12 @@ def sweep_inputs(
 def sweep_cell(params: Dict[str, object]) -> Dict[str, object]:
     """One ``repro sweep`` cell: refine (design, model, protocol),
     derive the seeded stimulus, co-simulate original vs refined."""
-    from repro.models import resolve_model
-    from repro.refine.refiner import Refiner
     from repro.sim.equivalence import check_equivalence
 
-    spec = _spec_from_params(params)
-    partition = _partition_for(spec, params)
-    refined = Refiner(
-        spec,
-        partition,
-        resolve_model(params["model"]),
-        protocol=params["protocol"],
-    ).run()
-    inputs = sweep_inputs(spec, params["seed"], params.get("inputs"))
+    refined = _refined(params)
+    inputs = sweep_inputs(
+        refined.original, params["seed"], params.get("inputs")
+    )
     limits = limits_from_params(params.get("limits"))
     report = check_equivalence(refined, inputs=inputs, limits=limits)
     return {
@@ -492,23 +485,15 @@ def batch_cell(params: Dict[str, object]) -> Dict[str, object]:
     ``Simulator.run`` raised, byte-identical to the serial job's
     failure.
     """
-    from repro.models import resolve_model
-    from repro.refine.refiner import Refiner
     from repro.sim.batch import BatchSimulator
     from repro.sim.equivalence import compare_runs
 
-    spec = _spec_from_params(params)
-    partition = _partition_for(spec, params)
-    refined = Refiner(
-        spec,
-        partition,
-        resolve_model(params["model"]),
-        protocol=params["protocol"],
-    ).run()
+    refined = _refined(params)
     limits = limits_from_params(params.get("limits"))
     seeds = list(params["seeds"])
     vectors = [
-        sweep_inputs(spec, seed, params.get("inputs")) for seed in seeds
+        sweep_inputs(refined.original, seed, params.get("inputs"))
+        for seed in seeds
     ]
     original_batch = BatchSimulator(refined.original).run_batch(
         vectors, limits=limits
@@ -556,23 +541,11 @@ def explore_cell(params: Dict[str, object]) -> Dict[str, object]:
     """
     from repro.estimate import estimate_design_point
     from repro.graph.access_graph import AccessGraph
-    from repro.models import resolve_model
-    from repro.refine.refiner import Refiner
     from repro.sim.interpreter import Simulator
     from repro.sim.metrics import SimMetrics
 
-    spec = _spec_from_params(params)
-    partition = _partition_for(spec, params)
-    allocation = allocation_from_params(params.get("allocation"))
-    model = resolve_model(params["model"])
-    graph = AccessGraph.from_specification(spec)
-    refined = Refiner(
-        spec,
-        partition,
-        model,
-        allocation=allocation,
-        protocol=params["protocol"],
-    ).run()
+    refined = _refined(params)
+    spec = refined.original
     metrics = SimMetrics()
     run = Simulator(refined.spec).run(
         inputs=dict(params["inputs"]),
@@ -581,11 +554,11 @@ def explore_cell(params: Dict[str, object]) -> Dict[str, object]:
     )
     cost = estimate_design_point(
         spec,
-        partition,
-        model,
-        allocation=allocation,
+        refined.partition,
+        refined.model,
+        allocation=allocation_from_params(params.get("allocation")),
         inputs=dict(params["inputs"]),
-        graph=graph,
+        graph=AccessGraph.from_specification(spec),
     )
     return {
         "traffic": metrics.bus_transactions,

@@ -46,12 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import ReproError
 from repro.experiments.tables import render_table
 from repro.models.impl_models import ALL_MODELS
-from repro.obs.events import (
-    NULL_JOURNAL,
-    bind_request_id,
-    current_request_id,
-    new_request_id,
-)
+from repro.obs.events import NULL_JOURNAL
 from repro.obs.metrics import NULL_REGISTRY
 from repro.sim.kernel import KernelLimits
 from repro.spec.specification import Specification
@@ -388,7 +383,6 @@ def run_explore(
     top_k: int = DEFAULT_TOP_K,
     frontier_seed_cap: int = DEFAULT_FRONTIER_SEED_CAP,
     max_cells: Optional[int] = None,
-    balance_weight: float = 0.35,
     limits: Optional[KernelLimits] = None,
     engine=None,
     workload=None,
@@ -408,9 +402,9 @@ def run_explore(
     distinct design point becomes one ``explore-cell`` job through
     ``engine``.
     """
-    from repro.exec import ExecutionEngine, Job
-    from repro.exec import canonical_partition, canonical_spec_text
+    from repro.exec import Job, canonical_partition
     from repro.exec.campaigns import allocation_to_params, limits_to_params
+    from repro.experiments._campaign import bracket, prologue, select
     from repro.graph.access_graph import AccessGraph
     from repro.partition.auto import (
         annealed_partition,
@@ -418,28 +412,11 @@ def run_explore(
         kl_partition,
     )
 
-    from repro.apps.workloads import resolve_workload
-
-    workload = resolve_workload(workload)
-    spec = spec or workload.spec()
-    spec.validate()
-    inputs = dict(inputs if inputs is not None else workload.default_inputs)
-    engine = engine if engine is not None else ExecutionEngine()
-
+    setup = prologue(workload, spec, inputs, engine)
+    spec, engine = setup.spec, setup.engine
     catalog = explore_allocations()
-    allocation_names = list(allocations) if allocations else sorted(catalog)
-    unknown = sorted(set(allocation_names) - set(catalog))
-    if unknown:
-        raise ReproError(
-            f"unknown allocation(s) {unknown}; choose from {sorted(catalog)}"
-        )
-    known_models = {model.name for model in ALL_MODELS}
-    model_names = list(models) if models else sorted(known_models)
-    unknown = sorted(set(model_names) - known_models)
-    if unknown:
-        raise ReproError(
-            f"unknown model(s) {unknown}; choose from {sorted(known_models)}"
-        )
+    allocation_names = select("allocation", allocations, catalog)
+    model_names = select("model", models, [model.name for model in ALL_MODELS])
     protocol_names = list(protocols) if protocols else list(DEFAULT_PROTOCOLS)
     if top_k < 1:
         raise ReproError(f"--top-k must be >= 1, got {top_k}")
@@ -447,7 +424,6 @@ def run_explore(
         raise ReproError(f"--max-cells must be >= 1, got {max_cells}")
 
     graph = AccessGraph.from_specification(spec)
-    spec_text = canonical_spec_text(spec)
     limits_data = limits_to_params(limits)
     allocation_data = {
         name: allocation_to_params(catalog[name])
@@ -472,9 +448,6 @@ def run_explore(
         "repro_explore_frontier_size",
         "Pareto-frontier size after the most recent explore campaign.",
     )
-    run_id = current_request_id()
-    if not run_id and journal.enabled:
-        run_id = "explore-" + new_request_id()
 
     # the exhaustive reference grid this layered search is measured
     # against: every layer-1 candidate gets a KL pass (no top-K
@@ -526,14 +499,14 @@ def run_explore(
             Job(
                 "explore-cell",
                 {
-                    "workload": workload.id,
-                    "spec": spec_text,
+                    "workload": setup.workload.id,
+                    "spec": setup.spec_text,
                     "partition": pairs,
                     "design": recipe,
                     "allocation": allocation_data[alloc],
                     "model": model,
                     "protocol": protocol,
-                    "inputs": inputs,
+                    "inputs": setup.inputs,
                     "limits": limits_data,
                 },
                 label=f"explore:{alloc}:{recipe}:{model}:{protocol}",
@@ -541,12 +514,11 @@ def run_explore(
             for alloc, recipe, model, protocol, pairs in points
         ]
 
-        with bind_request_id(run_id):
-            journal.emit(
-                "explore-layer-start", layer=layer, jobs=len(jobs),
-                points=len(points),
-            )
-            job_results = engine.run(jobs)
+        journal.emit(
+            "explore-layer-start", layer=layer, jobs=len(jobs),
+            points=len(points),
+        )
+        job_results = engine.run(jobs)
         layers_total_counter.inc()
 
         payloads = [job_result.require() for job_result in job_results]
@@ -575,110 +547,99 @@ def run_explore(
             if frontier.add(point):
                 added += 1
         journal.emit(
-            "explore-layer-complete", request_id=run_id, layer=layer,
-            evaluated=len(points), frontier=len(frontier), added=added,
+            "explore-layer-complete", layer=layer, evaluated=len(points),
+            frontier=len(frontier), added=added,
         )
         result.layers_run = layer
         return added
 
-    with bind_request_id(run_id):
-        journal.emit(
-            "campaign-start", campaign="explore",
-            allocations=len(allocation_names), models=len(model_names),
-            protocols=len(protocol_names),
-            exhaustive_cells=exhaustive_cells,
-        )
+    def search() -> StopReport:
+        """Run the layers until one stops the campaign."""
+        # -- layer 1: greedy + seeded annealing per allocation ---------------
+        layer1 = []
+        for alloc in allocation_names:
+            comps = components[alloc]
+            layer1.append(
+                (alloc, "greedy", greedy_partition(spec, comps, graph=graph))
+            )
+            for seed in anneal_seeds:
+                layer1.append((
+                    alloc, f"annealed@{seed}",
+                    annealed_partition(spec, comps, graph=graph, seed=seed),
+                ))
+        evaluate_layer(1, layer1)
+        if budget_hit:
+            return StopReport(
+                "cell-budget", 1,
+                f"max-cells budget of {max_cells} reached during layer 1",
+            )
 
-    def finish(stop: StopReport) -> ExploreResult:
-        result.stop = stop
-        frontier_gauge.set(len(frontier))
-        journal.emit(
-            "campaign-complete", request_id=run_id, campaign="explore",
-            cells=result.cells_evaluated, frontier=len(frontier),
-            layers=result.layers_run, stop=stop.reason,
-        )
-        return result
-
-    # -- layer 1: greedy + seeded annealing per allocation ------------------
-    layer1 = []
-    for alloc in allocation_names:
-        comps = components[alloc]
-        layer1.append((
-            alloc, "greedy",
-            greedy_partition(
-                spec, comps, graph=graph, balance_weight=balance_weight
-            ),
-        ))
-        for seed in anneal_seeds:
-            layer1.append((
-                alloc, f"annealed@{seed}",
-                annealed_partition(
-                    spec, comps, graph=graph,
-                    balance_weight=balance_weight, seed=seed,
-                ),
-            ))
-    evaluate_layer(1, layer1)
-    if budget_hit:
-        return finish(StopReport(
-            "cell-budget", 1,
-            f"max-cells budget of {max_cells} reached during layer 1",
-        ))
-
-    # -- layer 2: KL seeded from the quality-cache winners -------------------
-    layer2 = []
-    for alloc in allocation_names:
-        comps = components[alloc]
-        for recipe, partition in quality_cache.winners(alloc):
-            layer2.append((
-                alloc, f"kl<{recipe}",
-                kl_partition(
-                    spec, comps, graph=graph,
-                    balance_weight=balance_weight, seed_partition=partition,
-                ),
-            ))
-    added = evaluate_layer(2, layer2)
-    if budget_hit:
-        return finish(StopReport(
-            "cell-budget", 2,
-            f"max-cells budget of {max_cells} reached during layer 2",
-        ))
-    if added == 0:
-        return finish(StopReport(
-            "frontier-converged", 2,
-            "KL layer added no non-dominated point; skipping re-annealing",
-        ))
-
-    # -- layer 3: re-anneal the frontier members -----------------------------
-    layer3 = []
-    for alloc in allocation_names:
-        comps = components[alloc]
-        members = [
-            point for point in frontier.sorted_points()
-            if point.allocation == alloc
-        ][:frontier_seed_cap]
-        for member in members:
-            seed_partition = partitions[(alloc, member.recipe)]
-            for seed in reanneal_seeds:
-                layer3.append((
-                    alloc, f"reanneal@{seed}<{member.recipe}",
-                    annealed_partition(
-                        spec, comps, graph=graph,
-                        balance_weight=balance_weight, seed=seed,
-                        seed_partition=seed_partition,
+        # -- layer 2: KL seeded from the quality-cache winners ---------------
+        layer2 = []
+        for alloc in allocation_names:
+            comps = components[alloc]
+            for recipe, partition in quality_cache.winners(alloc):
+                layer2.append((
+                    alloc, f"kl<{recipe}",
+                    kl_partition(
+                        spec, comps, graph=graph, seed_partition=partition
                     ),
                 ))
-    added = evaluate_layer(3, layer3)
-    if budget_hit:
-        return finish(StopReport(
-            "cell-budget", 3,
-            f"max-cells budget of {max_cells} reached during layer 3",
-        ))
-    if added == 0:
-        return finish(StopReport(
-            "frontier-converged", 3,
-            "re-annealing layer added no non-dominated point",
-        ))
-    return finish(StopReport(
-        "layers-exhausted", LAYERS_TOTAL,
-        "all scheduled search layers completed",
-    ))
+        added = evaluate_layer(2, layer2)
+        if budget_hit:
+            return StopReport(
+                "cell-budget", 2,
+                f"max-cells budget of {max_cells} reached during layer 2",
+            )
+        if added == 0:
+            return StopReport(
+                "frontier-converged", 2,
+                "KL layer added no non-dominated point; skipping re-annealing",
+            )
+
+        # -- layer 3: re-anneal the frontier members -------------------------
+        layer3 = []
+        for alloc in allocation_names:
+            comps = components[alloc]
+            members = [
+                point for point in frontier.sorted_points()
+                if point.allocation == alloc
+            ][:frontier_seed_cap]
+            for member in members:
+                seed_partition = partitions[(alloc, member.recipe)]
+                for seed in reanneal_seeds:
+                    layer3.append((
+                        alloc, f"reanneal@{seed}<{member.recipe}",
+                        annealed_partition(
+                            spec, comps, graph=graph, seed=seed,
+                            seed_partition=seed_partition,
+                        ),
+                    ))
+        added = evaluate_layer(3, layer3)
+        if budget_hit:
+            return StopReport(
+                "cell-budget", 3,
+                f"max-cells budget of {max_cells} reached during layer 3",
+            )
+        if added == 0:
+            return StopReport(
+                "frontier-converged", 3,
+                "re-annealing layer added no non-dominated point",
+            )
+        return StopReport(
+            "layers-exhausted", LAYERS_TOTAL,
+            "all scheduled search layers completed",
+        )
+
+    with bracket(
+        engine, "explore", allocations=len(allocation_names),
+        models=len(model_names), protocols=len(protocol_names),
+        exhaustive_cells=exhaustive_cells,
+    ) as complete:
+        result.stop = search()
+        frontier_gauge.set(len(frontier))
+        complete.update(
+            cells=result.cells_evaluated, frontier=len(frontier),
+            layers=result.layers_run, stop=result.stop.reason,
+        )
+    return result

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.arch.allocation import Allocation
 from repro.experiments.figure9 import default_allocation
 from repro.experiments.paperdata import (
     PAPER_FIGURE10_LINES,
@@ -144,7 +143,6 @@ class Figure10Result:
 
 def run_figure10(
     spec: Optional[Specification] = None,
-    allocation: Optional[Allocation] = None,
     check_equivalence: bool = False,
     inputs: Optional[Dict[str, int]] = None,
     engine=None,
@@ -154,7 +152,8 @@ def run_figure10(
 
     ``workload`` names a :mod:`repro.apps.workloads` registry entry
     (default ``medical``) supplying the specification, design set and
-    default stimulus; its id lands in every job's cache key.
+    default stimulus; its id lands in every job's cache key.  Every
+    cell refines under the paper's :func:`default_allocation`.
 
     ``check_equivalence=True`` additionally co-simulates each refined
     design against the original (slower; used by the test suite and the
@@ -167,55 +166,51 @@ def run_figure10(
     byte-reproducibility across executors comes from a shared result
     cache (the second run replays the first run's measurements).
     """
-    from repro.exec import ExecutionEngine, Job, canonical_partition
-    from repro.exec import canonical_spec_text
+    from repro.exec import Job, canonical_partition
     from repro.exec.campaigns import allocation_to_params
+    from repro.experiments._campaign import bracket, prologue
 
-    from repro.apps.workloads import resolve_workload
-
-    workload = resolve_workload(workload)
-    spec = spec or workload.spec()
-    spec.validate()
-    allocation = allocation or default_allocation()
-    inputs = dict(inputs if inputs is not None else workload.default_inputs)
-    original_lines = spec.line_count()
-    engine = engine if engine is not None else ExecutionEngine()
-
-    spec_text = canonical_spec_text(spec)
-    allocation_data = allocation_to_params(allocation)
-    designs = workload.designs(spec)
+    setup = prologue(workload, spec, inputs, engine)
+    original_lines = setup.spec.line_count()
+    allocation_data = allocation_to_params(default_allocation())
+    designs = setup.workload.designs(setup.spec)
     jobs = [
         Job(
             "figure10-cell",
             {
-                "workload": workload.id,
-                "spec": spec_text,
+                "workload": setup.workload.id,
+                "spec": setup.spec_text,
                 "partition": canonical_partition(partition),
                 "design": design_name,
                 "model": model.name,
                 "allocation": allocation_data,
                 "check_equivalence": bool(check_equivalence),
-                "inputs": inputs,
+                "inputs": setup.inputs,
             },
             label=f"figure10:{design_name}:{model.name}",
         )
         for design_name, partition in designs.items()
         for model in ALL_MODELS
     ]
-    measured = iter(engine.run(jobs))
 
     result = Figure10Result(original_lines)
-    for design_name in designs:
-        result.cells[design_name] = {}
-        for model in ALL_MODELS:
-            payload = next(measured).require()
-            result.cells[design_name][model.name] = Figure10Cell(
-                design=design_name,
-                model=model.name,
-                refined_lines=payload["refined_lines"],
-                refinement_seconds=payload["refinement_seconds"],
-                ratio=payload["refined_lines"] / max(original_lines, 1),
-                equivalent=payload["equivalent"],
-                procedure_seconds=dict(payload["procedure_seconds"]),
-            )
+    with bracket(
+        setup.engine, "figure10", jobs=len(jobs), designs=len(designs),
+        models=len(ALL_MODELS),
+    ) as complete:
+        measured = iter(setup.engine.run(jobs))
+        for design_name in designs:
+            result.cells[design_name] = {}
+            for model in ALL_MODELS:
+                payload = next(measured).require()
+                result.cells[design_name][model.name] = Figure10Cell(
+                    design=design_name,
+                    model=model.name,
+                    refined_lines=payload["refined_lines"],
+                    refinement_seconds=payload["refinement_seconds"],
+                    ratio=payload["refined_lines"] / max(original_lines, 1),
+                    equivalent=payload["equivalent"],
+                    procedure_seconds=dict(payload["procedure_seconds"]),
+                )
+        complete["cells"] = len(jobs)
     return result

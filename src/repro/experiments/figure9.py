@@ -176,7 +176,6 @@ class Figure9Result:
 def run_figure9(
     spec: Optional[Specification] = None,
     inputs: Optional[Dict[str, int]] = None,
-    allocation: Optional[Allocation] = None,
     count_transfers: bool = True,
     engine=None,
     workload=None,
@@ -188,7 +187,8 @@ def run_figure9(
     set and the default stimulus, and its id lands in every job's
     cache key.  An explicit ``spec``/``inputs`` overrides the
     workload's (the designs still come from the workload's catalog,
-    built against that spec).
+    built against that spec).  Rates are profiled under the paper's
+    :func:`default_allocation`.
 
     With ``count_transfers`` (the default) each cell's refined design is
     also *executed* with a :class:`repro.sim.metrics.SimMetrics`
@@ -203,29 +203,24 @@ def run_figure9(
     serial, uncached reference), so a process executor parallelises
     them and a result cache makes warm re-runs free.
     """
-    from repro.apps.workloads import resolve_workload
-    from repro.exec import ExecutionEngine, Job, canonical_partition
-    from repro.exec import canonical_spec_text
+    from repro.exec import Job, canonical_partition
+    from repro.experiments._campaign import bracket, prologue
 
-    workload = resolve_workload(workload)
-    spec = spec or workload.spec()
-    spec.validate()
-    inputs = dict(inputs if inputs is not None else workload.default_inputs)
-    allocation = allocation or default_allocation()
+    setup = prologue(workload, spec, inputs, engine)
+    spec, inputs = setup.spec, setup.inputs
+    allocation = default_allocation()
     graph = AccessGraph.from_specification(spec)
-    designs = workload.designs(spec)
-    engine = engine if engine is not None else ExecutionEngine()
+    designs = setup.workload.designs(spec)
 
     result = Figure9Result(spec, graph, {})
     jobs = []
     if count_transfers:
-        spec_text = canonical_spec_text(spec)
         jobs = [
             Job(
                 "figure9-cell",
                 {
-                    "workload": workload.id,
-                    "spec": spec_text,
+                    "workload": setup.workload.id,
+                    "spec": setup.spec_text,
                     "partition": canonical_partition(partition),
                     "design": design_name,
                     "model": model.name,
@@ -236,26 +231,30 @@ def run_figure9(
             for design_name, partition in designs.items()
             for model in ALL_MODELS
         ]
-    measured = iter(engine.run(jobs))
-
-    for design_name, partition in designs.items():
-        profile = profile_specification(
-            spec, partition, allocation, inputs=inputs, graph=graph
-        )
-        result.profiles[design_name] = profile
-        result.ratio_labels[design_name] = classify_variables(
-            graph, partition
-        ).ratio_label()
-        rates = channel_rates(graph, profile)
-        result.cells[design_name] = {}
-        for model in ALL_MODELS:
-            plan = model.build_plan(spec, partition, graph=graph)
-            report = bus_transfer_rates(plan, graph, profile, rates=rates)
-            metrics: Optional[SimMetrics] = None
-            if count_transfers:
-                payload = next(measured).require()
-                metrics = SimMetrics.from_dict(payload["metrics"])
-            result.cells[design_name][model.name] = Figure9Cell(
-                design_name, model.name, report, metrics
+    with bracket(
+        setup.engine, "figure9", jobs=len(jobs), designs=len(designs),
+        models=len(ALL_MODELS),
+    ) as complete:
+        measured = iter(setup.engine.run(jobs))
+        for design_name, partition in designs.items():
+            profile = profile_specification(
+                spec, partition, allocation, inputs=inputs, graph=graph
             )
+            result.profiles[design_name] = profile
+            result.ratio_labels[design_name] = classify_variables(
+                graph, partition
+            ).ratio_label()
+            rates = channel_rates(graph, profile)
+            result.cells[design_name] = {}
+            for model in ALL_MODELS:
+                plan = model.build_plan(spec, partition, graph=graph)
+                report = bus_transfer_rates(plan, graph, profile, rates=rates)
+                metrics: Optional[SimMetrics] = None
+                if count_transfers:
+                    payload = next(measured).require()
+                    metrics = SimMetrics.from_dict(payload["metrics"])
+                result.cells[design_name][model.name] = Figure9Cell(
+                    design_name, model.name, report, metrics
+                )
+        complete["cells"] = sum(len(row) for row in result.cells.values())
     return result

@@ -42,12 +42,6 @@ from repro.fuzz.oracle import (
 )
 from repro.fuzz.shrink import CorpusEntry, iter_corpus
 from repro.models import ALL_MODELS, ImplementationModel, resolve_model
-from repro.obs.events import (
-    NULL_JOURNAL,
-    bind_request_id,
-    current_request_id,
-    new_request_id,
-)
 
 __all__ = [
     "DEFAULT_CORPUS_DIR",
@@ -190,7 +184,6 @@ def run_fuzz(
     vectors: int = 3,
     max_steps: int = DEFAULT_MAX_STEPS,
     corpus: Optional[str] = DEFAULT_CORPUS_DIR,
-    tracer=None,
     engine=None,
 ) -> FuzzReport:
     """Run ``count`` generated cases through every applicable oracle.
@@ -206,14 +199,13 @@ def run_fuzz(
     The report is assembled in grid order — corpus entries first, then
     case indexes ascending — regardless of executor completion order,
     so serial and parallel campaigns render byte-identically.
-    ``tracer`` (when no explicit ``engine`` is passed) attaches a
-    :class:`repro.obs.trace.SpanTracer` that receives one span per job.
     """
     from repro.exec import ExecutionEngine, Job
+    from repro.experiments._campaign import bracket
 
     resolved = _resolve_models(models)
     if engine is None:
-        engine = ExecutionEngine(tracer=tracer)
+        engine = ExecutionEngine()
     model_names = [m.name for m in resolved]
     report = FuzzReport(seed=seed, count=count, models=model_names)
     by_slice: Dict[str, SliceStats] = {}
@@ -252,46 +244,36 @@ def run_fuzz(
         }
         jobs.append(Job("fuzz-case", params, label=f"case-{case_seed}"))
 
-    # Campaign correlation (same pattern as run_sweep): inherit the
-    # bound request ID or mint a "fuzz-" run ID for the whole grid.
-    journal = getattr(engine, "journal", NULL_JOURNAL)
-    run_id = current_request_id()
-    if not run_id and journal.enabled:
-        run_id = "fuzz-" + new_request_id()
-    with bind_request_id(run_id):
-        journal.emit(
-            "campaign-start", campaign="fuzz", jobs=len(jobs),
-            corpus_entries=len(entries), cases=count,
-        )
+    with bracket(
+        engine, "fuzz", jobs=len(jobs), corpus_entries=len(entries),
+        cases=count,
+    ) as complete:
         results = engine.run(jobs)
-    corpus_results = results[: len(entries)]
-    case_results = results[len(entries):]
+        for job_result in results[: len(entries)]:
+            found = _failures_from_params(job_result.require()["failures"])
+            report.corpus_failures += len(found)
+            report.failures += found
 
-    for job_result in corpus_results:
-        found = _failures_from_params(job_result.require()["failures"])
-        report.corpus_failures += len(found)
-        report.failures += found
+        for (slice_name, case_seed), job_result in zip(
+            case_plan, results[len(entries):]
+        ):
+            stats = by_slice.get(slice_name)
+            if stats is None:
+                stats = by_slice[slice_name] = SliceStats(slice_name)
+                report.slices.append(stats)
+            payload = job_result.require()
+            failures = _failures_from_params(payload["failures"])
+            stats.cases += 1
+            stats.checks += payload["checks"]
+            stats.failures += len(failures)
+            report.failures += failures
+            if failures:
+                report.failing_seeds.append(case_seed)
 
-    for (slice_name, case_seed), job_result in zip(case_plan, case_results):
-        stats = by_slice.get(slice_name)
-        if stats is None:
-            stats = by_slice[slice_name] = SliceStats(slice_name)
-            report.slices.append(stats)
-        payload = job_result.require()
-        failures = _failures_from_params(payload["failures"])
-        stats.cases += 1
-        stats.checks += payload["checks"]
-        stats.failures += len(failures)
-        report.failures += failures
-        if failures:
-            report.failing_seeds.append(case_seed)
-
-    report.slices.sort(key=lambda s: s.name)
-    journal.emit(
-        "campaign-complete", request_id=run_id, campaign="fuzz",
-        checks=report.checks, failures=len(report.failures),
-        corpus_failures=report.corpus_failures,
-    )
+        report.slices.sort(key=lambda s: s.name)
+        complete["checks"] = report.checks
+        complete["failures"] = len(report.failures)
+        complete["corpus_failures"] = report.corpus_failures
     return report
 
 

@@ -24,10 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.arch.allocation import Allocation
 from repro.errors import (
     DeadlockError,
-    FaultConfigError,
     SimulationError,
     SimulationLimitExceeded,
 )
@@ -240,7 +238,6 @@ def _classify(refined, inputs, scenario, seed, limits) -> RobustnessCell:
 
 def run_robustness(
     spec: Optional[Specification] = None,
-    allocation: Optional[Allocation] = None,
     inputs: Optional[Dict[str, int]] = None,
     scenarios: Optional[Sequence[FaultScenario]] = None,
     seed: int = 1996,
@@ -255,7 +252,8 @@ def run_robustness(
 
     ``workload`` names a :mod:`repro.apps.workloads` registry entry
     (default ``medical``) supplying the specification, design catalog
-    and default stimulus; its id lands in every job's cache key.
+    and default stimulus; its id lands in every job's cache key.  Every
+    cell refines under the paper's :func:`default_allocation`.
 
     Each cell refines once (per design x model) and re-simulates per
     scenario with a fresh single-scenario :class:`FaultInjector` seeded
@@ -269,57 +267,39 @@ def run_robustness(
     uncached reference).  The report carries no wall-clock, so serial
     and parallel campaigns render byte-identically.
     """
-    from repro.exec import ExecutionEngine, Job, canonical_partition
-    from repro.exec import canonical_spec_text
+    from repro.exec import Job, canonical_partition
     from repro.exec.campaigns import (
         allocation_to_params,
         limits_to_params,
         scenario_to_params,
     )
+    from repro.experiments._campaign import bracket, prologue, select
 
-    from repro.apps.workloads import resolve_workload
-
-    workload = resolve_workload(workload)
-    spec = spec or workload.spec()
-    spec.validate()
-    allocation = allocation or default_allocation()
-    inputs = dict(inputs if inputs is not None else workload.default_inputs)
+    setup = prologue(workload, spec, inputs, engine)
     scenarios = list(scenarios if scenarios is not None else default_scenarios())
     limits = limits or KernelLimits()
-    engine = engine if engine is not None else ExecutionEngine()
+    catalog = setup.workload.designs(setup.spec)
+    design_names = set(select("design", designs, catalog))
+    model_names = set(
+        select("model", models, [model.name for model in ALL_MODELS])
+    )
 
-    catalog = workload.designs(spec)
-    if designs is not None:
-        unknown = sorted(set(designs) - set(catalog))
-        if unknown:
-            raise FaultConfigError(
-                f"unknown design(s) {unknown}; choose from {sorted(catalog)}"
-            )
-    known_models = {model.name for model in ALL_MODELS}
-    if models is not None:
-        unknown = sorted(set(models) - known_models)
-        if unknown:
-            raise FaultConfigError(
-                f"unknown model(s) {unknown}; choose from {sorted(known_models)}"
-            )
-
-    spec_text = canonical_spec_text(spec)
-    allocation_data = allocation_to_params(allocation)
+    allocation_data = allocation_to_params(default_allocation())
     scenario_data = [scenario_to_params(s) for s in scenarios]
     by_name = {scenario.name: scenario for scenario in scenarios}
     grid = [
         (design_name, partition, model)
         for design_name, partition in catalog.items()
-        if designs is None or design_name in designs
+        if design_name in design_names
         for model in ALL_MODELS
-        if models is None or model.name in models
+        if model.name in model_names
     ]
     jobs = [
         Job(
             "robustness-cell",
             {
-                "workload": workload.id,
-                "spec": spec_text,
+                "workload": setup.workload.id,
+                "spec": setup.spec_text,
                 "partition": canonical_partition(partition),
                 "design": design_name,
                 "model": model.name,
@@ -328,7 +308,7 @@ def run_robustness(
                 "seed": seed,
                 "limits": limits_to_params(limits),
                 "scenarios": scenario_data,
-                "inputs": inputs,
+                "inputs": setup.inputs,
             },
             label=f"robustness:{design_name}:{model.name}",
         )
@@ -336,17 +316,26 @@ def run_robustness(
     ]
 
     result = RobustnessResult(seed=seed, protocol=protocol)
-    for (design_name, _, model), job_result in zip(grid, engine.run(jobs)):
-        payload = job_result.require()
-        for item in payload["cells"]:
-            result.add(
-                RobustnessCell(
-                    design=design_name,
-                    model=model.name,
-                    scenario=by_name[item["scenario"]],
-                    outcome=item["outcome"],
-                    fired=item["fired"],
-                    detail=item["detail"],
+    with bracket(
+        setup.engine, "robustness", jobs=len(jobs),
+        designs=len(design_names), models=len(model_names),
+        scenarios=len(scenarios),
+    ) as complete:
+        for (design_name, _, model), job_result in zip(
+            grid, setup.engine.run(jobs)
+        ):
+            payload = job_result.require()
+            for item in payload["cells"]:
+                result.add(
+                    RobustnessCell(
+                        design=design_name,
+                        model=model.name,
+                        scenario=by_name[item["scenario"]],
+                        outcome=item["outcome"],
+                        fired=item["fired"],
+                        detail=item["detail"],
+                    )
                 )
-            )
+        complete["cells"] = len(result.all_cells())
+        complete["unexpected"] = len(result.unexpected())
     return result

@@ -20,12 +20,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.errors import ReproError
 from repro.experiments.tables import render_table
 from repro.models.impl_models import ALL_MODELS
-from repro.obs.events import (
-    NULL_JOURNAL,
-    bind_request_id,
-    current_request_id,
-    new_request_id,
-)
 from repro.sim.kernel import KernelLimits
 from repro.spec.specification import Specification
 
@@ -158,161 +152,92 @@ def run_sweep(
     cells (and the rendered table) are byte-identical to the serial
     sweep; only the :attr:`SweepCell.kernel` tags differ.
     """
-    from repro.exec import ExecutionEngine, Job, canonical_partition
-    from repro.exec import canonical_spec_text
+    from repro.exec import Job, canonical_partition
     from repro.exec.campaigns import limits_to_params
+    from repro.experiments._campaign import bracket, prologue, select
 
-    from repro.apps.workloads import resolve_workload
-
-    workload = resolve_workload(workload)
-    spec = spec or workload.spec()
-    spec.validate()
-    inputs = dict(inputs if inputs is not None else workload.default_inputs)
-    engine = engine if engine is not None else ExecutionEngine()
-
-    catalog = workload.designs(spec)
-    design_names = list(designs) if designs else sorted(catalog)
-    unknown = sorted(set(design_names) - set(catalog))
-    if unknown:
-        raise ReproError(
-            f"unknown design(s) {unknown}; choose from {sorted(catalog)}"
-        )
-    known_models = {model.name for model in ALL_MODELS}
-    model_names = list(models) if models else sorted(known_models)
-    unknown = sorted(set(model_names) - known_models)
-    if unknown:
-        raise ReproError(
-            f"unknown model(s) {unknown}; choose from {sorted(known_models)}"
-        )
+    setup = prologue(workload, spec, inputs, engine)
+    catalog = setup.workload.designs(setup.spec)
+    design_names = select("design", designs, catalog)
+    model_names = select("model", models, [model.name for model in ALL_MODELS])
     protocol_names = list(protocols) if protocols else list(DEFAULT_PROTOCOLS)
     seed_list = list(seeds) if seeds is not None else list(DEFAULT_SEEDS)
-
-    spec_text = canonical_spec_text(spec)
     limits_data = limits_to_params(limits)
 
-    # Campaign correlation: reuse the bound request ID when running
-    # inside a daemon request, else mint a "sweep-" run ID so the
-    # grid's job events and campaign events share one spine.
-    journal = getattr(engine, "journal", NULL_JOURNAL)
-    run_id = current_request_id()
-    if not run_id and journal.enabled:
-        run_id = "sweep-" + new_request_id()
-
-    def _dispatch(jobs):
-        with bind_request_id(run_id):
-            journal.emit(
-                "campaign-start", campaign="sweep", jobs=len(jobs),
-                designs=len(design_names), models=len(model_names),
-                protocols=len(protocol_names), seeds=len(seed_list),
-            )
-            return engine.run(jobs)
-
-    def _finish(result: SweepResult) -> SweepResult:
-        journal.emit(
-            "campaign-complete", request_id=run_id, campaign="sweep",
-            cells=len(result.cells), mismatched=len(result.failures()),
-        )
-        return result
-
+    # one job per (family, chunk): a chunk is up to BATCH_LANES seeds
+    # of one batch-cell job, or the single seed of one sweep-cell job
     if batch:
-        families = [
-            (design, model, protocol)
-            for design in design_names
-            for model in model_names
-            for protocol in protocol_names
-        ]
         chunks = [
             seed_list[i : i + BATCH_LANES]
             for i in range(0, len(seed_list), BATCH_LANES)
         ]
-        jobs = [
-            Job(
-                "batch-cell",
-                {
-                    "workload": workload.id,
-                    "spec": spec_text,
-                    "partition": canonical_partition(catalog[design]),
-                    "design": design,
-                    "model": model,
-                    "protocol": protocol,
-                    "seeds": chunk,
-                    "inputs": inputs,
-                    "limits": limits_data,
-                },
-                label=(
-                    f"sweep:{design}:{model}:{protocol}:"
-                    f"s{chunk[0]}-s{chunk[-1]}x{len(chunk)}"
-                ),
-            )
-            for design, model, protocol in families
-            for chunk in chunks
-        ]
-        result = SweepResult()
-        job_results = iter(_dispatch(jobs))
-        for design, model, protocol in families:
-            for chunk in chunks:
-                payload = next(job_results).require()
-                for seed, cell in zip(chunk, payload["cells"]):
-                    if "error" in cell:
-                        raise ReproError(
-                            f"sweep:{design}:{model}:{protocol}:s{seed} "
-                            f"failed: {cell['error']}"
-                        )
-                    result.cells.append(
-                        SweepCell(
-                            design=design,
-                            model=model,
-                            protocol=protocol,
-                            seed=seed,
-                            refined_lines=cell["refined_lines"],
-                            steps=cell["steps"],
-                            equivalent=cell["equivalent"],
-                            kernel=cell["kernel"],
-                        )
-                    )
-        return _finish(result)
-
+    else:
+        chunks = [[seed] for seed in seed_list]
     grid = [
-        (design, model, protocol, seed)
+        (design, model, protocol, chunk)
         for design in design_names
         for model in model_names
         for protocol in protocol_names
-        for seed in seed_list
+        for chunk in chunks
     ]
-    jobs = [
-        Job(
-            "sweep-cell",
-            {
-                "workload": workload.id,
-                "spec": spec_text,
-                "partition": canonical_partition(catalog[design]),
-                "design": design,
-                "model": model,
-                "protocol": protocol,
-                "seed": seed,
-                "inputs": inputs,
-                "limits": limits_data,
-            },
-            label=f"sweep:{design}:{model}:{protocol}:s{seed}",
+    jobs = []
+    for design, model, protocol, chunk in grid:
+        params = {
+            "workload": setup.workload.id,
+            "spec": setup.spec_text,
+            "partition": canonical_partition(catalog[design]),
+            "design": design,
+            "model": model,
+            "protocol": protocol,
+            "inputs": setup.inputs,
+            "limits": limits_data,
+        }
+        label = f"sweep:{design}:{model}:{protocol}:"
+        if batch:
+            params["seeds"] = chunk
+            label += f"s{chunk[0]}-s{chunk[-1]}x{len(chunk)}"
+        else:
+            params["seed"] = chunk[0]
+            label += f"s{chunk[0]}"
+        jobs.append(
+            Job("batch-cell" if batch else "sweep-cell", params, label=label)
         )
-        for design, model, protocol, seed in grid
-    ]
 
     result = SweepResult()
-    for (design, model, protocol, seed), job_result in zip(
-        grid, _dispatch(jobs)
-    ):
-        payload = job_result.require()
-        result.cells.append(
-            SweepCell(
-                design=design,
-                model=model,
-                protocol=protocol,
-                seed=seed,
-                refined_lines=payload["refined_lines"],
-                steps=payload["steps"],
-                equivalent=payload["equivalent"],
-                kernel=payload.get("kernel", "compiled"),
-            )
+    with bracket(
+        setup.engine, "sweep", jobs=len(jobs), designs=len(design_names),
+        models=len(model_names), protocols=len(protocol_names),
+        seeds=len(seed_list),
+    ) as complete:
+        for (design, model, protocol, chunk), job_result in zip(
+            grid, setup.engine.run(jobs)
+        ):
+            payload = job_result.require()
+            cells = payload["cells"] if batch else [payload]
+            for seed, cell in zip(chunk, cells):
+                result.cells.append(
+                    _sweep_cell(design, model, protocol, seed, cell)
+                )
+        complete["cells"] = len(result.cells)
+        complete["mismatched"] = len(result.failures())
+    return result
+
+
+def _sweep_cell(design, model, protocol, seed, payload) -> SweepCell:
+    """One grid point from its ``sweep-cell`` payload (or its lane of
+    a ``batch-cell`` payload)."""
+    if "error" in payload:
+        raise ReproError(
+            f"sweep:{design}:{model}:{protocol}:s{seed} "
+            f"failed: {payload['error']}"
         )
-    return _finish(result)
+    return SweepCell(
+        design=design,
+        model=model,
+        protocol=protocol,
+        seed=seed,
+        refined_lines=payload["refined_lines"],
+        steps=payload["steps"],
+        equivalent=payload["equivalent"],
+        kernel=payload.get("kernel", "compiled"),
+    )

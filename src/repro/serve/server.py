@@ -778,7 +778,7 @@ class ReproServer:
                 "X-Repro-Seconds": f"{result.seconds:.6f}",
             }
             # audit trail: which kernel variant computed this payload
-            # (walker / compiled / batched) — present on simulation
+            # (compiled or batched) — present on simulation
             # tasks, absent on purely structural ones
             if isinstance(result.payload, dict) and "kernel" in result.payload:
                 headers["X-Repro-Kernel"] = str(result.payload["kernel"])

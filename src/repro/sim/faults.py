@@ -21,7 +21,7 @@ Supported fault kinds:
     Replace the written value with ``value``.
 ``flip_bit``
     XOR bit ``bit`` into an integer signal value (a single-event upset
-    on a data bus line).
+    on a data bus line); a non-integer write passes untouched.
 ``stall``
     Suspend a process for ``delay`` time units instead of activating it
     (a slow server).
@@ -215,9 +215,10 @@ class FaultInjector:
                 now, scenario, name, f"{value!r} -> {scenario.value!r}"
             )
             return "corrupt", scenario.value
-        # flip_bit
+        # flip_bit: a non-integer value passes untouched and is not an
+        # injected fault (the firing is still spent, so later RNG draws
+        # stay where they were)
         if not isinstance(value, int):
-            self._log(now, scenario, name, "skipped: non-integer value")
             return "pass", value
         flipped = value ^ (1 << scenario.bit)
         self._log(now, scenario, name, f"{value!r} -> {flipped!r}")

@@ -342,6 +342,55 @@ class TestFuzz:
                    for e in events.get("traceEvents", events))
 
 
+#: the campaign commands with an ``-o`` report file, each at a small size
+SMALL_CAMPAIGNS = {
+    "fuzz": ["fuzz", "--count", "1", "--model", "Model1", "--corpus", ""],
+    "robustness": ["robustness", "--design", "Design1", "--model", "Model1"],
+    "sweep": ["sweep", "--design", "Design1", "--model", "Model1"],
+    "explore": ["explore", "--allocation", "paper", "--model", "Model1",
+                "--max-cells", "1"],
+}
+
+
+class TestCampaignOutput:
+    @pytest.mark.parametrize("command", sorted(SMALL_CAMPAIGNS))
+    def test_default_writes_no_artifact(self, capsys, tmp_path,
+                                        monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        assert main(SMALL_CAMPAIGNS[command]) == 0
+        assert "written to" not in capsys.readouterr().out
+        assert not (tmp_path / "benchmarks").exists()
+
+    @pytest.mark.parametrize("command", sorted(SMALL_CAMPAIGNS))
+    def test_output_file_is_the_stdout_report(self, capsys, tmp_path,
+                                              command):
+        path = tmp_path / "report.txt"
+        assert main(SMALL_CAMPAIGNS[command] + ["-o", str(path)]) == 0
+        out = capsys.readouterr().out
+        report = path.read_text()
+        assert report.endswith("\n") and not report.endswith("\n\n")
+        assert out == f"{report}\n{command} report written to {path}\n"
+
+    def test_trace_has_one_root_span_named_after_the_command(
+        self, capsys, tmp_path
+    ):
+        import json
+
+        trace_file = tmp_path / "trace.json"
+        assert main(SMALL_CAMPAIGNS["sweep"] + ["--trace",
+                                                str(trace_file)]) == 0
+        spans = [e for e in json.loads(trace_file.read_text())["traceEvents"]
+                 if e["ph"] == "X"]
+        roots = [e for e in spans if e["name"] == "sweep"]
+        assert len(roots) == 1
+        (root,) = roots
+        jobs = [e for e in spans if e["name"].startswith("sweep:")]
+        assert jobs and all(
+            root["ts"] <= e["ts"] and e["ts"] + e["dur"] <= root["ts"] + root["dur"]
+            for e in jobs
+        )
+
+
 class TestEngineOptions:
     # every job is one design point or one seed: no bundling options
     @pytest.mark.parametrize("argv", [

@@ -83,7 +83,9 @@ class TestInjectorMatching:
         )
         action, payload = inj.on_signal_write(0.0, "d", (1, 2))
         assert (action, payload) == ("pass", (1, 2))
-        assert "skipped" in inj.events[0].detail
+        # nothing was injected, but the firing is spent
+        assert inj.events == [] and inj.fired == 0
+        assert inj._armed[0].remaining == 0
 
     def test_process_faults_only_match_process_hook(self):
         inj = FaultInjector(
@@ -180,6 +182,25 @@ class TestKernelIntegration:
         k.spawn("w", writer())
         k.run()
         assert k.read_signal("data") == 99
+
+    def test_flip_bit_on_a_non_integer_signal_is_no_fault(self):
+        from repro.sim.metrics import SimMetrics
+
+        inj = FaultInjector(
+            [FaultScenario(name="f", kind="flip_bit", target="pair")]
+        )
+        metrics = SimMetrics()
+        k = Kernel(injector=inj, metrics=metrics)
+        k.register_signal("pair", (0, 0))
+
+        def writer():
+            k.write_signal("pair", (1, 2))
+            yield WaitDelay(1)
+
+        k.spawn("w", writer())
+        k.run()
+        assert k.read_signal("pair") == (1, 2)
+        assert inj.fired == metrics.faults == 0
 
     def test_kill_finishes_process_and_wakes_joiners(self):
         from repro.sim.kernel import Join

@@ -171,18 +171,49 @@ def test_engine_metrics_count_jobs():
     assert latency["count"] == 1
 
 
-def test_campaign_events_share_a_sweep_run_id():
-    from repro.experiments.sweep import run_sweep
-
-    journal = EventJournal(keep=True)
-    result = run_sweep(
-        designs=["Design1"], models=["Model1"], engine=_engine(journal)
+def _small_campaigns():
+    """Each campaign driver at a one- or two-job grid."""
+    from repro.experiments import (
+        run_explore,
+        run_figure9,
+        run_figure10,
+        run_fuzz,
+        run_robustness,
+        run_sweep,
     )
-    assert result.ok
+
+    one = dict(designs=["Design1"], models=["Model1"])
+    return {
+        "figure9": lambda engine: run_figure9(engine=engine),
+        "figure10": lambda engine: run_figure10(engine=engine),
+        "robustness": lambda engine: run_robustness(
+            scenarios=[], engine=engine, **one
+        ),
+        "fuzz": lambda engine: run_fuzz(
+            count=1, models=["Model1"], corpus=None, engine=engine
+        ),
+        "sweep": lambda engine: run_sweep(engine=engine, **one),
+        "explore": lambda engine: run_explore(
+            allocations=["paper"], models=["Model1"], max_cells=1,
+            engine=engine,
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "campaign",
+    ["figure9", "figure10", "robustness", "fuzz", "sweep", "explore"],
+)
+def test_campaign_events_share_one_run_id(campaign):
+    journal = EventJournal(keep=True)
+    _small_campaigns()[campaign](_engine(journal))
     kinds = [r["kind"] for r in journal.records]
     assert kinds[0] == "campaign-start" and kinds[-1] == "campaign-complete"
+    assert kinds.count("campaign-start") == kinds.count("campaign-complete") == 1
+    assert journal.records[0]["campaign"] == campaign
     run_ids = {r["request_id"] for r in journal.records}
-    assert len(run_ids) == 1 and next(iter(run_ids)).startswith("sweep-")
+    assert len(run_ids) == 1
+    assert next(iter(run_ids)).startswith(campaign + "-")
 
 
 # -- end-to-end serve correlation ---------------------------------------------

@@ -26,6 +26,27 @@ class TestCatalog:
                 assert not fnmatchcase("Filter_start", scenario.target)
 
 
+class TestNameChecks:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"designs": ["Design9"]},
+         "unknown design(s) ['Design9']; choose from "
+         "['Design1', 'Design2', 'Design3']"),
+        ({"models": ["Model9"]},
+         "unknown model(s) ['Model9']; choose from "
+         "['Model1', 'Model2', 'Model3', 'Model4']"),
+    ])
+    def test_unknown_name_is_a_repro_error_like_the_sweep(self, kwargs,
+                                                          message):
+        from repro.errors import FaultConfigError, ReproError
+        from repro.experiments.sweep import run_sweep
+
+        for run in (run_robustness, run_sweep):
+            with pytest.raises(ReproError) as exc:
+                run(**kwargs)
+            assert str(exc.value) == message
+            assert not isinstance(exc.value, FaultConfigError)
+
+
 class TestCellSemantics:
     def _cell(self, expect, outcome, fired=1):
         return RobustnessCell(
